@@ -4,6 +4,9 @@
 //! (`mlpart-analyzer-findings-v1`): one object per line, fields in fixed
 //! order, findings sorted by `(file, line, check)` — so two runs over the
 //! same tree produce byte-identical output, and CI diffs are meaningful.
+//! Strings are escaped by the workspace's one JSON codec, `mlpart_obs::json`.
+
+use mlpart_obs::json::write_str;
 
 /// One rule violation at a specific source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,19 +42,17 @@ impl Finding {
     /// Renders the finding as one `mlpart-analyzer-findings-v1` JSON line.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(128);
-        s.push_str("{\"v\":1,\"file\":\"");
-        json_escape_into(&self.file, &mut s);
-        s.push_str("\",\"line\":");
+        s.push_str("{\"v\":1,\"file\":");
+        write_str(&mut s, &self.file);
+        s.push_str(",\"line\":");
         s.push_str(&self.line.to_string());
-        s.push_str(",\"check\":\"");
-        json_escape_into(self.check, &mut s);
-        s.push_str("\",\"snippet\":\"");
-        json_escape_into(&self.snippet, &mut s);
-        s.push('"');
+        s.push_str(",\"check\":");
+        write_str(&mut s, self.check);
+        s.push_str(",\"snippet\":");
+        write_str(&mut s, &self.snippet);
         if let Some(ctx) = &self.context {
-            s.push_str(",\"context\":\"");
-            json_escape_into(ctx, &mut s);
-            s.push('"');
+            s.push_str(",\"context\":");
+            write_str(&mut s, ctx);
         }
         s.push('}');
         s
@@ -71,23 +72,6 @@ pub fn canonicalize(findings: &mut Vec<Finding>) {
         ))
     });
     findings.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.check == b.check);
-}
-
-/// Escapes `s` for inclusion in a JSON string literal.
-fn json_escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -38,21 +38,16 @@ const NON_INDEX_PREV: &[&str] = &[
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Hook-crate roots and the cargo feature each must be gated behind.
-/// Sub-paths can demand a *stricter* gate than the crate root; see
-/// [`hook_feature`].
-const HOOK_ROOTS: &[(&str, &str)] = &[
-    ("mlpart_obs", "obs"),
-    ("mlpart_audit", "audit"),
-    ("mlpart_fault", "fault"),
-];
+/// `mlpart_obs` is not one: tracing is always compiled in and gated at
+/// runtime. Only its allocation tracker is opt-in; see [`hook_feature`].
+const HOOK_ROOTS: &[(&str, &str)] = &[("mlpart_audit", "audit"), ("mlpart_fault", "fault")];
 
 /// The feature a hook-path token at `i` must be gated behind, or `None`
 /// when `toks[i]` is not a hook root. Most hook sites need the crate-level
 /// feature from [`HOOK_ROOTS`]; `mlpart_obs::alloc::…` — the allocation
-/// tracker — only exists under `obs-alloc`, so a plain `obs` gate would
-/// still break the build and the stricter gate is required.
+/// tracker, a global allocator and so an opt-in — only exists under
+/// `obs-alloc`.
 fn hook_feature(toks: &[Token], i: usize) -> Option<&'static str> {
-    let (_, feature) = HOOK_ROOTS.iter().find(|(root, _)| toks[i].is_ident(root))?;
     if toks[i].is_ident("mlpart_obs")
         && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
         && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
@@ -60,6 +55,7 @@ fn hook_feature(toks: &[Token], i: usize) -> Option<&'static str> {
     {
         return Some("obs-alloc");
     }
+    let (_, feature) = HOOK_ROOTS.iter().find(|(root, _)| toks[i].is_ident(root))?;
     Some(feature)
 }
 
@@ -340,7 +336,8 @@ mod tests {
     fn gated_hooks_pass_ungated_fail() {
         let src = r#"
             fn f() {
-                #[cfg(feature = "obs")]
+                #[cfg(feature = "fault")]
+                mlpart_fault::maybe_panic("start", 0);
                 let _span = mlpart_obs::span("match");
                 mlpart_audit::check_partition(&p);
             }
@@ -362,18 +359,18 @@ mod tests {
     }
 
     #[test]
-    fn alloc_hook_requires_the_stricter_obs_alloc_gate() {
-        // A crate-level `obs` gate is not enough for the allocation
-        // tracker: the `alloc` module only compiles under `obs-alloc`.
-        let under_obs = r#"
+    fn alloc_hook_requires_the_obs_alloc_gate() {
+        // Another feature's gate is not enough for the allocation tracker:
+        // the `alloc` module only compiles under `obs-alloc`.
+        let under_audit = r#"
             fn f() {
-                #[cfg(feature = "obs")]
+                #[cfg(feature = "audit")]
                 {
                     mlpart_obs::alloc::reset_thread_tallies();
                 }
             }
         "#;
-        assert_eq!(checks(under_obs, &gate_scope()), ["ungated-hook"]);
+        assert_eq!(checks(under_audit, &gate_scope()), ["ungated-hook"]);
         let under_alloc = r#"
             fn f() {
                 #[cfg(feature = "obs-alloc")]
@@ -386,13 +383,11 @@ mod tests {
     }
 
     #[test]
-    fn metrics_hook_needs_only_the_obs_gate() {
+    fn plain_obs_hooks_need_no_gate() {
         let src = r#"
             fn f() {
-                #[cfg(feature = "obs")]
-                {
-                    let r = mlpart_obs::metrics::Registry::from_trace(&t);
-                }
+                let _span = mlpart_obs::span("match");
+                let r = mlpart_obs::metrics::Registry::from_trace(&t);
             }
         "#;
         assert!(run(src, &gate_scope()).is_empty());
@@ -403,8 +398,8 @@ mod tests {
         let src = "pub fn hook() { mlpart_obs::alloc::snapshot(); }\n";
         let mut scope = gate_scope();
         assert_eq!(checks(src, &scope), ["ungated-hook"]);
-        // Inheriting plain `obs` from a gated `mod` is still not enough…
-        scope.inherited_features = vec!["obs".into()];
+        // Inheriting another feature from a gated `mod` is not enough…
+        scope.inherited_features = vec!["audit".into()];
         assert_eq!(checks(src, &scope), ["ungated-hook"]);
         // …but inheriting `obs-alloc` is.
         scope.inherited_features = vec!["obs-alloc".into()];

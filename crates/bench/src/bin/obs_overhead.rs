@@ -1,31 +1,26 @@
-//! In-process observability overhead benchmark (the Rust port of the old
-//! `scripts/obs_overhead.sh` measurement loop).
+//! In-process observability overhead benchmark.
 //!
-//! Measures the wall-clock cost of the observability layer per config:
+//! Measures the wall-clock cost of the observability layer, which is always
+//! compiled in and gated at runtime, in its two states:
 //!
-//! - `off` — this binary built *without* the `obs` feature: hooks are
-//!   compiled out entirely. Only this config runs in a plain build.
-//! - `disabled` — built with `--features obs`, runtime gate off: every hook
-//!   reduces to one relaxed atomic load. Only in an obs build.
+//! - `disabled` — runtime gate off: every hook reduces to one relaxed
+//!   atomic load.
 //! - `enabled` — gate forced on, full recording plus Chrome-trace, JSONL,
 //!   folded-stack, and run-report serialization (discarded, so the cost
-//!   measured is recording + export, not disk). Only in an obs build.
+//!   measured is recording + export, not disk).
 //!
-//! Each config runs `--reps` repetitions per circuit and reports the
-//! minimum (the standard noise-robust estimator for short benches). The
-//! partitioner's cut statistics are formatted into a `cut_line` per config
-//! and byte-compared across every config *in this process*; the wrapper
-//! script compares the lines across the off/obs builds too. Any mismatch is
-//! a determinism violation and exits 1.
+//! Each config runs `--reps` repetitions per circuit, alternating with the
+//! other config, and reports the minimum (the standard noise-robust
+//! estimator for short benches). The partitioner's cut statistics are
+//! formatted into a `cut_line` per config and byte-compared across both
+//! configs; any mismatch is a determinism violation and exits 1.
 //!
 //! ```text
 //! obs_overhead [--runs N] [--seed S] [--reps R] [--threads T]
-//!              [--circuits a,b] [--out PATH] [--append]
+//!              [--circuits a,b] [--out PATH]
 //! ```
 //!
-//! `--out` defaults to stdout; `--append` keeps an existing file's content
-//! (the wrapper runs the off build first with a fresh meta line, then the
-//! obs build with `--append`).
+//! `--out` defaults to stdout.
 
 use mlpart_bench::{algos, run_many_par};
 use std::fmt::Write as _;
@@ -38,12 +33,10 @@ struct Args {
     threads: usize,
     circuits: Vec<String>,
     out: Option<String>,
-    append: bool,
-    meta: bool,
 }
 
 const USAGE: &str = "usage: obs_overhead [--runs N] [--seed S] [--reps R] [--threads T]\n\
-     \x20                   [--circuits a,b] [--out PATH] [--append] [--no-meta]";
+     \x20                   [--circuits a,b] [--out PATH]";
 
 fn parse_args() -> Result<Args, String> {
     let mut out = Args {
@@ -53,8 +46,6 @@ fn parse_args() -> Result<Args, String> {
         threads: 1,
         circuits: vec!["syn-industry2".into(), "syn-s38584".into()],
         out: None,
-        append: false,
-        meta: true,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -73,8 +64,6 @@ fn parse_args() -> Result<Args, String> {
                 out.circuits = value("--circuits")?.split(',').map(str::to_owned).collect();
             }
             "--out" => out.out = Some(value("--out")?),
-            "--append" => out.append = true,
-            "--no-meta" => out.meta = false,
             "--help" | "-h" => return Err(USAGE.to_owned()),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
@@ -105,14 +94,6 @@ fn measure(
     (line, wall)
 }
 
-fn configs() -> &'static [&'static str] {
-    if cfg!(feature = "obs") {
-        &["disabled", "enabled"]
-    } else {
-        &["off"]
-    }
-}
-
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -122,16 +103,14 @@ fn main() {
         }
     };
     let mut doc = String::new();
-    if args.meta {
-        let _ = writeln!(
-            doc,
-            "{{\"group\":\"obs_overhead\",\"bench\":\"meta\",\"reps\":{},\"runs\":{},\
-             \"seed\":{},\"threads\":{},\"note\":\"wall-clock per config, min over reps; \
-             enabled = gate on + chrome-trace + jsonl + folded + run-report export; \
-             cut lines byte-identical across all configs\"}}",
-            args.reps, args.runs, args.seed, args.threads
-        );
-    }
+    let _ = writeln!(
+        doc,
+        "{{\"group\":\"obs_overhead\",\"bench\":\"meta\",\"reps\":{},\"runs\":{},\
+         \"seed\":{},\"threads\":{},\"note\":\"wall-clock per config, min over reps; \
+         enabled = gate on + chrome-trace + jsonl + folded + run-report export; \
+         cut lines byte-identical across all configs\"}}",
+        args.reps, args.runs, args.seed, args.threads
+    );
     let mut ok = true;
     for name in &args.circuits {
         let Some(circuit) = mlpart_gen::by_name(name) else {
@@ -139,23 +118,24 @@ fn main() {
             std::process::exit(2);
         };
         let h = circuit.generate(args.seed);
-        let mut results: Vec<(&str, String, f64)> = Vec::new();
-        for &config in configs() {
-            let mut best = f64::INFINITY;
-            let mut cut_line = String::new();
-            for _ in 0..args.reps {
-                let (line, wall) = match config {
+        let mut results: Vec<(&str, String, f64)> = ["disabled", "enabled"]
+            .map(|config| (config, String::new(), f64::INFINITY))
+            .to_vec();
+        // Both configs run in one build, so repetitions alternate between
+        // them: a slow stretch of a shared host hits both, not just one.
+        for _ in 0..args.reps {
+            for (config, cut_line, best) in &mut results {
+                let (line, wall) = match *config {
                     "enabled" => run_enabled(&h, &args),
                     _ => measure(&h, args.runs, args.seed, args.threads),
                 };
                 eprintln!("  {name}/{config}: {wall:.6}s");
-                best = best.min(wall);
-                cut_line = line;
+                *best = best.min(wall);
+                *cut_line = line;
             }
-            results.push((config, cut_line, best));
         }
-        // Determinism guarantee within this build: recording on vs. off
-        // must not change the reported cuts.
+        // Determinism guarantee: recording on vs. off must not change the
+        // reported cuts.
         for (config, line, _) in &results[1..] {
             if line != &results[0].1 {
                 eprintln!(
@@ -178,20 +158,7 @@ fn main() {
     match &args.out {
         None => print!("{doc}"),
         Some(path) => {
-            let result = if args.append {
-                // Append mode accumulates across invocations, so it cannot
-                // be a whole-file rename; a torn tail only loses the last
-                // invocation's lines.
-                use std::io::Write as _;
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .and_then(|mut f| f.write_all(doc.as_bytes()))
-            } else {
-                mlpart_hypergraph::io::write_atomic(path, doc.as_bytes())
-            };
-            if let Err(e) = result {
+            if let Err(e) = mlpart_hypergraph::io::write_atomic(path, doc.as_bytes()) {
                 eprintln!("cannot write {path}: {e}");
                 std::process::exit(1);
             }
@@ -203,7 +170,6 @@ fn main() {
 
 /// The `enabled` config: gate forced on, batch captured, all four export
 /// formats serialized (and dropped — measuring CPU cost, not the disk).
-#[cfg(feature = "obs")]
 fn run_enabled(h: &mlpart_hypergraph::Hypergraph, args: &Args) -> (String, f64) {
     mlpart_obs::force_enabled(true);
     let t0 = Instant::now();
@@ -214,13 +180,14 @@ fn run_enabled(h: &mlpart_hypergraph::Hypergraph, args: &Args) -> (String, f64) 
         );
         measure(h, args.runs, args.seed, args.threads).0
     });
-    let trace = trace.expect("gate forced on");
+    // The gate is forced on, so the capture always records.
+    let trace = trace.unwrap_or_default();
     let exports = [
         mlpart_obs::to_chrome_trace(&trace),
         mlpart_obs::to_jsonl(&trace),
         mlpart_obs::to_folded(&trace),
         mlpart_obs::report::RunReport {
-            meta: vec![("harness", mlpart_obs::V::S("obs_overhead"))],
+            meta: vec![("harness", "obs_overhead".into())],
             cuts: Vec::new(),
             failures: Vec::new(),
             truncations: Vec::new(),
@@ -236,10 +203,4 @@ fn run_enabled(h: &mlpart_hypergraph::Hypergraph, args: &Args) -> (String, f64) 
     std::hint::black_box(&exports);
     mlpart_obs::force_enabled(false);
     (line, wall)
-}
-
-#[cfg(not(feature = "obs"))]
-fn run_enabled(h: &mlpart_hypergraph::Hypergraph, args: &Args) -> (String, f64) {
-    // Unreachable: configs() never yields "enabled" without the feature.
-    measure(h, args.runs, args.seed, args.threads)
 }

@@ -9,27 +9,11 @@
 //! values are non-normative telemetry (they vary run to run); the *phase
 //! structure* — which phases appear, in what order, with what counts — is
 //! deterministic and is what `obs-diff` byte-verifies across runs.
-//!
-//! Needs the `obs` feature; refuses to run without it rather than emitting
-//! an empty profile.
 
-#[cfg(feature = "obs")]
 use mlpart_bench::{algos, run_many_par, HarnessArgs};
-#[cfg(feature = "obs")]
 use mlpart_fm::BucketPolicy;
-#[cfg(feature = "obs")]
 use mlpart_hypergraph::rng::child_seed;
 
-#[cfg(not(feature = "obs"))]
-fn main() {
-    eprintln!(
-        "table_profile needs a binary built with the `obs` feature \
-         (cargo run --release -p mlpart-bench --features obs --bin table_profile)"
-    );
-    std::process::exit(2);
-}
-
-#[cfg(feature = "obs")]
 fn main() {
     let args = HarnessArgs::from_env();
     println!(

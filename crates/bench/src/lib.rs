@@ -107,7 +107,6 @@ where
     };
     // One deterministic summary event per batch; timing stays out of the
     // args so trace content is reproducible across runs and thread counts.
-    #[cfg(feature = "obs")]
     if mlpart_obs::recording() {
         mlpart_obs::counter(
             "batch",
@@ -128,74 +127,58 @@ where
 /// JSON document capturing every batch the body executed (each multi-start
 /// batch contributes its per-start `start` spans plus one `batch` summary
 /// counter); `--trace-out` writes the same capture as a Chrome trace, ready
-/// for `chrome://tracing` or `obs-diff`. Without the `obs` feature both
-/// flags are rejected up front so an artifact is never silently skipped.
-/// Returns whatever `body` returns.
+/// for `chrome://tracing` or `obs-diff`. Returns whatever `body` returns.
 pub fn with_report<R>(args: &HarnessArgs, harness: &'static str, body: impl FnOnce() -> R) -> R {
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = harness;
-        if args.report_out.is_some() || args.trace_out.is_some() {
-            eprintln!(
-                "--report-out/--trace-out need a binary built with the `obs` \
-                 feature (cargo build --release --features obs)"
-            );
-            std::process::exit(2);
-        }
+    if args.report_out.is_none() && args.trace_out.is_none() {
+        return body();
+    }
+    // Atomic (write-temp-then-rename): an interrupted harness never
+    // leaves a torn half-report for obs-diff to choke on.
+    let write_or_die =
+        |path: &str, what: &str, content: &str| match mlpart_hypergraph::io::write_atomic(
+            path,
+            content.as_bytes(),
+        ) {
+            Ok(()) => eprintln!("{what} written to {path}"),
+            Err(e) => {
+                eprintln!("cannot write {path}: {e}");
+                std::process::exit(1);
+            }
+        };
+    mlpart_obs::force_enabled(true);
+    let wall = Instant::now();
+    let (value, trace) = mlpart_obs::capture(|| {
+        let _run = mlpart_obs::span(
+            "run",
+            &[("runs", args.runs.into()), ("seed", args.seed.into())],
+        );
         body()
+    });
+    // The gate is forced on, so the capture always records.
+    let trace = trace.unwrap_or_default();
+    if let Some(path) = &args.trace_out {
+        write_or_die(path, "trace", &mlpart_obs::to_chrome_trace(&trace));
     }
-    #[cfg(feature = "obs")]
-    {
-        if args.report_out.is_none() && args.trace_out.is_none() {
-            return body();
-        }
-        // Atomic (write-temp-then-rename): an interrupted harness never
-        // leaves a torn half-report for obs-diff to choke on.
-        let write_or_die =
-            |path: &str, what: &str, content: &str| match mlpart_hypergraph::io::write_atomic(
-                path,
-                content.as_bytes(),
-            ) {
-                Ok(()) => eprintln!("{what} written to {path}"),
-                Err(e) => {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-        mlpart_obs::force_enabled(true);
-        let wall = Instant::now();
-        let (value, trace) = mlpart_obs::capture(|| {
-            let _run = mlpart_obs::span(
-                "run",
-                &[("runs", args.runs.into()), ("seed", args.seed.into())],
-            );
-            body()
-        });
-        let trace = trace.expect("gate forced on");
-        if let Some(path) = &args.trace_out {
-            write_or_die(path, "trace", &mlpart_obs::to_chrome_trace(&trace));
-        }
-        if let Some(path) = &args.report_out {
-            let report = mlpart_obs::report::RunReport {
-                meta: vec![
-                    ("harness", mlpart_obs::V::S(harness)),
-                    ("runs", args.runs.into()),
-                    ("seed", args.seed.into()),
-                    ("threads", args.threads.into()),
-                ],
-                cuts: Vec::new(), // per-batch cuts live in the `batch` counters
-                failures: Vec::new(),
-                truncations: Vec::new(),
-                retries: Vec::new(),
-                repairs: Vec::new(),
-                wall_secs: wall.elapsed().as_secs_f64(),
-                cpu_secs: 0.0,
-                trace,
-            };
-            write_or_die(path, "run report", &report.to_json());
-        }
-        value
+    if let Some(path) = &args.report_out {
+        let report = mlpart_obs::report::RunReport {
+            meta: vec![
+                ("harness", harness.into()),
+                ("runs", args.runs.into()),
+                ("seed", args.seed.into()),
+                ("threads", args.threads.into()),
+            ],
+            cuts: Vec::new(), // per-batch cuts live in the `batch` counters
+            failures: Vec::new(),
+            truncations: Vec::new(),
+            retries: Vec::new(),
+            repairs: Vec::new(),
+            wall_secs: wall.elapsed().as_secs_f64(),
+            cpu_secs: 0.0,
+            trace,
+        };
+        write_or_die(path, "run report", &report.to_json());
     }
+    value
 }
 
 /// Which circuits a harness binary should sweep.
@@ -218,7 +201,8 @@ pub enum SuiteSelection {
 /// --seed S        base seed                            [default 1997]
 /// --suite small|medium|all|name1,name2,...             [default small]
 /// --threads N     worker threads for multi-start cells [default: available parallelism]
-/// --report-out P  write a machine-readable run report  [needs the `obs` feature]
+/// --report-out P  write a machine-readable run report
+/// --trace-out P   write a Chrome trace of the run
 /// ```
 ///
 /// `--threads` only changes wall-clock time: per-start seed streams are
@@ -234,11 +218,10 @@ pub struct HarnessArgs {
     pub suite: SuiteSelection,
     /// Worker threads for multi-start cells (never changes results).
     pub threads: usize,
-    /// Write a `mlpart-run-report-v3` JSON document here (needs the `obs`
-    /// feature; see [`with_report`]).
-    pub report_out: Option<String>,
-    /// Write the captured Chrome trace here (needs the `obs` feature; see
+    /// Write a `mlpart-run-report-v3` JSON document here (see
     /// [`with_report`]).
+    pub report_out: Option<String>,
+    /// Write the captured Chrome trace here (see [`with_report`]).
     pub trace_out: Option<String>,
 }
 
@@ -249,8 +232,8 @@ pub const USAGE: &str = "usage: --runs N --seed S --suite small|medium|all|name,
      \x20 --suite SEL   small|medium|all|name1,name2,...     [default small]\n\
      \x20 --threads N   worker threads for multi-start cells [default: available parallelism];\n\
      \x20               results are bit-identical for every thread count\n\
-     \x20 --report-out PATH  write a machine-readable run report (needs the `obs` feature)\n\
-     \x20 --trace-out PATH   write a Chrome trace of the run (needs the `obs` feature)";
+     \x20 --report-out PATH  write a machine-readable run report\n\
+     \x20 --trace-out PATH   write a Chrome trace of the run";
 
 impl Default for HarnessArgs {
     fn default() -> Self {

@@ -1,4 +1,4 @@
-//! Trace-content determinism contract (needs `--features obs`).
+//! Trace-content determinism contract.
 //!
 //! With tracing enabled, a fixed-seed batch must emit a trace whose
 //! **content** — every event name, nesting, and argument, i.e. everything
@@ -8,8 +8,6 @@
 //!
 //! CI runs this file twice, once additionally forcing a thread count via
 //! `MLPART_TEST_THREADS`, mirroring `determinism.rs`.
-#![cfg(feature = "obs")]
-
 use mlpart_bench::{algos, run_many_par, RunStats};
 use mlpart_gen::suite;
 use mlpart_hypergraph::Hypergraph;
@@ -159,7 +157,7 @@ fn v3_reports_strip_identical_across_thread_counts() {
         let (_, trace) = raw_traced_batch(h, threads);
         obs::report::RunReport {
             meta: vec![
-                ("harness", obs::V::S("obs_determinism")),
+                ("harness", "obs_determinism".into()),
                 ("seed", 29u64.into()),
                 ("threads", (threads as u64).into()),
             ],

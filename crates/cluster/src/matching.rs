@@ -293,7 +293,6 @@ where
             k += 1;
         }
     }
-    #[cfg(feature = "obs")]
     mlpart_obs::counter(
         "match_pass",
         &[

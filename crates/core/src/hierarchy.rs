@@ -124,7 +124,6 @@ impl Hierarchy {
         let mut owned_current: Option<Hypergraph> = None;
         let mut current_fixed: Vec<(ModuleId, PartId)> = fixed.to_vec();
 
-        #[cfg(feature = "obs")]
         let _obs_span = mlpart_obs::span(
             "coarsen",
             &[
@@ -183,7 +182,6 @@ impl Hierarchy {
             };
             let guard = 1.0 - effective_ratio / 4.0;
             let stalled = clustering.num_clusters() as f64 > guard * current.num_modules() as f64;
-            #[cfg(feature = "obs")]
             mlpart_obs::counter(
                 "coarsen_level",
                 &[
@@ -276,7 +274,6 @@ impl Hierarchy {
         let mut owned_current: Option<Hypergraph> = None;
         let mut current_fixed: Vec<(ModuleId, PartId)> = fixed.to_vec();
 
-        #[cfg(feature = "obs")]
         let _obs_span = mlpart_obs::span(
             "coarsen_parts",
             &[
@@ -306,7 +303,6 @@ impl Hierarchy {
             );
             let guard = 1.0 - cfg.matching_ratio / 4.0;
             let stalled = clustering.num_clusters() as f64 > guard * current.num_modules() as f64;
-            #[cfg(feature = "obs")]
             mlpart_obs::counter(
                 "coarsen_level",
                 &[

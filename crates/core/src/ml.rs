@@ -319,7 +319,6 @@ pub fn try_ml_bipartition_budgeted_in(
     ws: &mut RefineWorkspace,
     meter: &mut BudgetMeter,
 ) -> Result<(Partition, MlResult), PipelineError> {
-    #[cfg(feature = "obs")]
     let _obs_run = mlpart_obs::span("ml_bipartition", &[("modules", h.num_modules().into())]);
     // --- Coarsening phase (steps 1-5). ---
     let hierarchy = Hierarchy::try_coarsen(h, cfg, &[], rng)?;
@@ -331,8 +330,7 @@ pub fn try_ml_bipartition_budgeted_in(
     let mut total_passes = 0usize;
     let tries = cfg.initial_tries.max(1);
     let mut best: Option<(u64, Partition, Vec<PassStats>)> = None;
-    let mut _winner = 0usize;
-    #[cfg(feature = "obs")]
+    let mut winner = 0usize;
     let obs_initial = mlpart_obs::span(
         "initial",
         &[
@@ -341,43 +339,36 @@ pub fn try_ml_bipartition_budgeted_in(
             ("modules", coarsest.num_modules().into()),
         ],
     );
-    for _t in 0..tries {
-        #[cfg(feature = "obs")]
-        let obs_try = mlpart_obs::span("try", &[("try", _t.into())]);
+    for t in 0..tries {
+        let obs_try = mlpart_obs::span("try", &[("try", t.into())]);
         let (p, r) = fm_partition_budgeted_in(coarsest, None, &cfg.fm, rng, ws, meter);
         total_passes += r.passes;
-        #[cfg(feature = "obs")]
-        {
-            drop(obs_try);
-            mlpart_obs::counter(
-                "initial_try",
-                &[
-                    ("try", _t.into()),
-                    ("cut", r.cut.into()),
-                    ("passes", r.passes.into()),
-                ],
-            );
-        }
+        drop(obs_try);
+        mlpart_obs::counter(
+            "initial_try",
+            &[
+                ("try", t.into()),
+                ("cut", r.cut.into()),
+                ("passes", r.passes.into()),
+            ],
+        );
         // Determinism tie-break: strict `<` keeps the *first* try that
         // reaches the minimum cut, so for a fixed seed the winning
         // partition — and every downstream projection/refinement — does not
         // depend on how many later tries happen to tie it.
         if best.as_ref().is_none_or(|(c, _, _)| r.cut < *c) {
             best = Some((r.cut, p, r.pass_stats));
-            _winner = _t;
+            winner = t;
         }
     }
-    let Some((_best_cut, mut p, initial_stats)) = best else {
+    let Some((best_cut, mut p, initial_stats)) = best else {
         return Err(PipelineError::NoStarts);
     };
-    #[cfg(feature = "obs")]
-    {
-        mlpart_obs::counter(
-            "initial_winner",
-            &[("try", _winner.into()), ("cut", _best_cut.into())],
-        );
-        drop(obs_initial);
-    }
+    mlpart_obs::counter(
+        "initial_winner",
+        &[("try", winner.into()), ("cut", best_cut.into())],
+    );
+    drop(obs_initial);
     let mut level_stats = Vec::with_capacity(m + 1);
     level_stats.push(LevelStats::from_passes(
         m,
@@ -390,7 +381,6 @@ pub fn try_ml_bipartition_budgeted_in(
     let mut rebalance_moves = 0usize;
     for i in (0..m).rev() {
         let fine: &Hypergraph = if i == 0 { h } else { hierarchy.level(i) };
-        #[cfg(feature = "obs")]
         let _obs_level = mlpart_obs::span(
             "level",
             &[("level", i.into()), ("modules", fine.num_modules().into())],
@@ -418,7 +408,6 @@ pub fn try_ml_bipartition_budgeted_in(
             level_rebalance = rebalance_bipart(fine, &mut fine_p, &balance, rng);
             rebalance_moves += level_rebalance;
         }
-        #[cfg(feature = "obs")]
         mlpart_obs::counter(
             "rebalance",
             &[("level", i.into()), ("moves", level_rebalance.into())],
@@ -603,7 +592,6 @@ pub fn try_ml_bipartition_constrained_budgeted_in(
             return Err(PipelineError::FixedPartOutOfRange { part: p, k: 2 });
         }
     }
-    #[cfg(feature = "obs")]
     let _obs_run = mlpart_obs::span(
         "ml_bipartition_constrained",
         &[
@@ -665,7 +653,6 @@ pub fn try_ml_bipartition_constrained_budgeted_in(
     let mut rebalance_moves = 0usize;
     for i in (0..m).rev() {
         let fine: &Hypergraph = if i == 0 { h } else { hierarchy.level(i) };
-        #[cfg(feature = "obs")]
         let _obs_level = mlpart_obs::span(
             "level",
             &[("level", i.into()), ("modules", fine.num_modules().into())],

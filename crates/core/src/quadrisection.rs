@@ -176,7 +176,6 @@ pub fn try_ml_kway_budgeted_in(
         max_levels: cfg.max_levels,
         ..MlConfig::default()
     };
-    #[cfg(feature = "obs")]
     let _obs_run = mlpart_obs::span(
         "ml_kway",
         &[
@@ -189,7 +188,6 @@ pub fn try_ml_kway_budgeted_in(
 
     // Initial k-way partitioning of the coarsest netlist.
     let coarsest = hierarchy.coarsest(h);
-    #[cfg(feature = "obs")]
     let obs_initial = mlpart_obs::span(
         "initial",
         &[
@@ -198,7 +196,6 @@ pub fn try_ml_kway_budgeted_in(
             ("modules", coarsest.num_modules().into()),
         ],
     );
-    #[cfg(feature = "obs")]
     let obs_try = mlpart_obs::span("try", &[("try", 0u64.into())]);
     meter.set_level_context(Some(m as u32));
     let (mut p, r0) = kway_partition_budgeted_in(
@@ -211,15 +208,12 @@ pub fn try_ml_kway_budgeted_in(
         ws,
         meter,
     );
-    #[cfg(feature = "obs")]
-    {
-        drop(obs_try);
-        mlpart_obs::counter(
-            "initial_winner",
-            &[("try", 0u64.into()), ("cut", r0.cut.into())],
-        );
-        drop(obs_initial);
-    }
+    drop(obs_try);
+    mlpart_obs::counter(
+        "initial_winner",
+        &[("try", 0u64.into()), ("cut", r0.cut.into())],
+    );
+    drop(obs_initial);
     let mut total_passes = r0.passes;
     let mut level_stats = Vec::with_capacity(m + 1);
     level_stats.push(LevelStats::from_passes(
@@ -233,7 +227,6 @@ pub fn try_ml_kway_budgeted_in(
     let mut rebalance_moves = 0usize;
     for i in (0..m).rev() {
         let fine: &Hypergraph = if i == 0 { h } else { hierarchy.level(i) };
-        #[cfg(feature = "obs")]
         let _obs_level = mlpart_obs::span(
             "level",
             &[("level", i.into()), ("modules", fine.num_modules().into())],
@@ -271,7 +264,6 @@ pub fn try_ml_kway_budgeted_in(
                 rebalance_kway_frozen(fine, &mut fine_p, &balance, mask.as_deref(), rng);
             rebalance_moves += level_rebalance;
         }
-        #[cfg(feature = "obs")]
         mlpart_obs::counter(
             "rebalance",
             &[("level", i.into()), ("moves", level_rebalance.into())],
@@ -405,7 +397,6 @@ pub fn try_ml_kway_constrained_budgeted_in(
         max_levels: cfg.max_levels,
         ..MlConfig::default()
     };
-    #[cfg(feature = "obs")]
     let _obs_run = mlpart_obs::span(
         "ml_kway_constrained",
         &[
@@ -451,7 +442,6 @@ pub fn try_ml_kway_constrained_budgeted_in(
     let mut rebalance_moves = 0usize;
     for i in (0..m).rev() {
         let fine: &Hypergraph = if i == 0 { h } else { hierarchy.level(i) };
-        #[cfg(feature = "obs")]
         let _obs_level = mlpart_obs::span(
             "level",
             &[("level", i.into()), ("modules", fine.num_modules().into())],

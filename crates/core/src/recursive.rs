@@ -132,7 +132,6 @@ pub fn try_recursive_ml_bisection_budgeted_in(
     }
     let k = 1u32 << depth;
     let n = h.num_modules();
-    #[cfg(feature = "obs")]
     let _obs_run = mlpart_obs::span(
         "recursive_bisection",
         &[("depth", u64::from(depth).into()), ("modules", n.into())],
@@ -161,7 +160,6 @@ pub fn try_recursive_ml_bisection_budgeted_in(
                 continue;
             }
             let (sub, back) = h.extract(&keep)?;
-            #[cfg(feature = "obs")]
             let _obs_region = mlpart_obs::span(
                 "region",
                 &[
@@ -288,7 +286,6 @@ pub fn try_recursive_ml_partition_budgeted_in(
     let k = constraints.k();
     let n = h.num_modules();
     constraints.check_modules(n)?;
-    #[cfg(feature = "obs")]
     let _obs_run = mlpart_obs::span(
         "recursive_partition",
         &[
@@ -379,7 +376,6 @@ fn split_region(
         keep[v as usize] = true;
     }
     let (sub, back) = h.extract(&keep)?;
-    #[cfg(feature = "obs")]
     let _obs_region = mlpart_obs::span(
         "region",
         &[

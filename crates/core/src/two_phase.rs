@@ -124,12 +124,10 @@ pub fn try_two_phase_fm_budgeted_in(
     ws: &mut RefineWorkspace,
     meter: &mut BudgetMeter,
 ) -> Result<(Partition, TwoPhaseResult), PipelineError> {
-    #[cfg(feature = "obs")]
     let _obs_run = mlpart_obs::span("two_phase", &[("modules", h.num_modules().into())]);
     // Phase 1: cluster once and partition the coarse netlist.
     let clustering = match_clusters(h, match_cfg, rng);
     let coarse = induce(h, &clustering)?;
-    #[cfg(feature = "obs")]
     mlpart_obs::counter(
         "two_phase_coarse",
         &[("coarse_modules", coarse.num_modules().into())],
@@ -140,14 +138,13 @@ pub fn try_two_phase_fm_budgeted_in(
     // Phase 2: project and refine on the original netlist.
     let mut p = project(h, &clustering, &coarse_p)?;
     let balance = BipartBalance::new(h, fm.balance_r);
-    let mut _rebalance = 0usize;
+    let mut rebalance_moves = 0usize;
     if !balance.is_partition_feasible(&p) {
-        _rebalance = rebalance_bipart(h, &mut p, &balance, rng);
+        rebalance_moves = rebalance_bipart(h, &mut p, &balance, rng);
     }
-    #[cfg(feature = "obs")]
     mlpart_obs::counter(
         "rebalance",
-        &[("level", 0u64.into()), ("moves", _rebalance.into())],
+        &[("level", 0u64.into()), ("moves", rebalance_moves.into())],
     );
     meter.set_level_context(Some(0));
     let refine_r = refine_budgeted_in(h, &mut p, fm, rng, ws, meter);
@@ -279,7 +276,6 @@ pub fn try_two_phase_fm_constrained_budgeted_in(
     let total = h.total_area();
     let target0 = total / 2;
     let epsilon = constraints.epsilon();
-    #[cfg(feature = "obs")]
     let _obs_run = mlpart_obs::span(
         "two_phase_constrained",
         &[
@@ -312,7 +308,6 @@ pub fn try_two_phase_fm_constrained_budgeted_in(
         debug_assert!(a.0 != b.0 || a.1 == b.1, "cross-part pins merged");
         a.0 == b.0
     });
-    #[cfg(feature = "obs")]
     mlpart_obs::counter(
         "two_phase_coarse",
         &[("coarse_modules", coarse.num_modules().into())],
@@ -338,14 +333,13 @@ pub fn try_two_phase_fm_constrained_budgeted_in(
     // Phase 2: project and refine on the original netlist.
     let mut p = project(h, &clustering, &coarse_p)?;
     let bounds = bounds_for(h);
-    let mut _rebalance = 0usize;
+    let mut rebalance_moves = 0usize;
     if !bounds.is_partition_feasible(&p) {
-        _rebalance = rebalance_to_bounds(h, &mut p, fixed, &bounds, rng);
+        rebalance_moves = rebalance_to_bounds(h, &mut p, fixed, &bounds, rng);
     }
-    #[cfg(feature = "obs")]
     mlpart_obs::counter(
         "rebalance",
-        &[("level", 0u64.into()), ("moves", _rebalance.into())],
+        &[("level", 0u64.into()), ("moves", rebalance_moves.into())],
     );
     meter.set_level_context(Some(0));
     let mask = fixed_mask(fixed, h.num_modules());

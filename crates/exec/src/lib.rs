@@ -49,6 +49,7 @@
 
 use mlpart_fm::RefineWorkspace;
 use mlpart_hypergraph::rng::{child_seed, seeded_rng, MlRng};
+use mlpart_obs::{EvKind, Trace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -60,34 +61,22 @@ pub use supervise::{
     SupervisedBatch, ATTEMPT_STRIDE,
 };
 
-/// Per-start observability payload: each start's events are captured on
-/// whichever worker ran it, then merged into the caller's trace **in start
-/// order** — so the merged stream's content is thread-count-invariant, the
-/// same argument as for the result vector itself.
-#[cfg(feature = "obs")]
-type StartTrace = Option<mlpart_obs::Trace>;
-/// Zero-sized stand-in so the runner's plumbing is feature-independent.
-#[cfg(not(feature = "obs"))]
-type StartTrace = ();
-
 /// Splices one start's captured trace into the calling thread's recorder as
-/// a `start` span. No-op when the start recorded nothing.
-#[cfg(feature = "obs")]
-fn append_start_trace(i: usize, trace: &StartTrace) {
+/// a `start` span. Per-start streams are captured on whichever worker ran
+/// the start, then merged **in start order** — so the merged stream's
+/// content is thread-count-invariant, the same argument as for the result
+/// vector itself. No-op when the start recorded nothing.
+fn append_start_trace(i: usize, trace: &Option<Trace>) {
     if let Some(t) = trace {
         mlpart_obs::append_trace("start", &[("start", (i as u64).into())], t);
     }
 }
-#[cfg(not(feature = "obs"))]
-fn append_start_trace(_i: usize, _trace: &StartTrace) {}
 
 /// Best-effort phase attribution for a failed start: the innermost span
 /// open when the panic began unwinding. Span guards close during the unwind
 /// (their `Drop` records `End`), so a drained stack is recovered from the
 /// trailing run of `End` events the unwind appended.
-#[cfg(feature = "obs")]
-fn failure_phase(trace: &StartTrace) -> Option<String> {
-    use mlpart_obs::EvKind;
+fn failure_phase(trace: &Option<Trace>) -> Option<String> {
     let t = trace.as_ref()?;
     let mut stack: Vec<&'static str> = Vec::new();
     for e in &t.events {
@@ -116,9 +105,13 @@ fn failure_phase(trace: &StartTrace) -> Option<String> {
         .get(t.events.len() - trailing)
         .map(|e| e.name.to_string())
 }
-#[cfg(not(feature = "obs"))]
-fn failure_phase(_trace: &StartTrace) -> Option<String> {
-    None
+
+/// Serializes tests that flip the process-global trace gate, which would
+/// otherwise race under the parallel test runner.
+#[cfg(test)]
+pub(crate) fn obs_gate_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Renders a caught panic payload as a message (the common `&str` / `String`
@@ -263,7 +256,7 @@ pub fn default_threads() -> usize {
 }
 
 /// Per-start outcome on the wire between worker and scatter.
-type StartSlot<T> = (Result<T, String>, StartTrace);
+type StartSlot<T> = (Result<T, String>, Option<Trace>);
 
 /// What one worker thread hands back: every start it claimed, with the
 /// start index, its per-start seconds, and the outcome slot.
@@ -274,13 +267,13 @@ type WorkerYield<T> = Vec<(usize, f64, StartSlot<T>)>;
 /// order plus timing telemetry.
 ///
 /// Each start runs under `catch_unwind`: a panicking start becomes a
-/// [`StartFailure`] (with the panic message and, under `obs`, the innermost
-/// open span as its phase) while every other start proceeds normally. A
-/// worker whose start panicked replaces its workspace with a fresh one —
-/// fresh allocation is bit-identical to reuse by the `*_in` contract, so
-/// isolation cannot change any surviving start's result. Consequently the
-/// surviving results are bit-identical to a sequential run over just the
-/// surviving start indices, at every thread count.
+/// [`StartFailure`] (with the panic message and, when tracing is on, the
+/// innermost open span as its phase) while every other start proceeds
+/// normally. A worker whose start panicked replaces its workspace with a
+/// fresh one — fresh allocation is bit-identical to reuse by the `*_in`
+/// contract, so isolation cannot change any surviving start's result.
+/// Consequently the surviving results are bit-identical to a sequential
+/// run over just the surviving start indices, at every thread count.
 ///
 /// Start `i` receives a PRNG seeded with `child_seed(base_seed, i)` and its
 /// worker's long-lived [`RefineWorkspace`]. Starts are distributed by an
@@ -322,10 +315,7 @@ where
             mlpart_fault::maybe_panic("start", i as u64);
             job(&mut rng, ws)
         });
-        #[cfg(feature = "obs")]
         let (result, trace) = mlpart_obs::capture(|| catch_unwind(body));
-        #[cfg(not(feature = "obs"))]
-        let (result, trace) = (catch_unwind(body), ());
         let secs = start.elapsed().as_secs_f64();
         let result = result.map_err(panic_message);
         if result.is_err() {
@@ -771,9 +761,9 @@ mod tests {
 
     /// Per-start spans merge in start order, so the merged stream's content
     /// (timestamps excluded) is byte-identical at every thread count.
-    #[cfg(feature = "obs")]
     #[test]
     fn trace_content_is_thread_count_invariant() {
+        let _gate = obs_gate_lock();
         mlpart_obs::force_enabled(true);
         let span_job = |rng: &mut MlRng, _ws: &mut RefineWorkspace| -> u64 {
             let v = rng.gen_range(0..1000u64);
@@ -805,9 +795,9 @@ mod tests {
     }
 
     /// A panicking start is attributed to the innermost open span.
-    #[cfg(feature = "obs")]
     #[test]
     fn failure_phase_names_the_innermost_span() {
+        let _gate = obs_gate_lock();
         mlpart_obs::force_enabled(true);
         let firsts: Vec<u64> = (0..4)
             .map(|i| seeded_rng(child_seed(53, i as u64)).gen_range(0..u64::MAX))

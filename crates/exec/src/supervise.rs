@@ -25,7 +25,7 @@
 //!
 //! With `max_attempts == 1`, no degradation, and an empty resume state,
 //! [`run_supervised`] is **bit-identical** to [`try_run_starts`] — same
-//! survivors, failures, and (under `obs`) the same merged trace content.
+//! survivors, failures, and (with tracing on) the same merged trace content.
 
 use crate::{failure_phase, panic_message, BatchResult, ExecError, ExecTiming, StartFailure};
 use mlpart_fm::{Budget, RefineWorkspace};
@@ -35,23 +35,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// A start's full trace contribution: the concatenation of its per-attempt
-/// streams, each wrapped in its `start` span. An empty trace when the obs
-/// gate was off; the unit type on non-`obs` builds. Checkpoints persist
-/// this and replay it verbatim on resume.
-#[cfg(feature = "obs")]
+/// streams, each wrapped in its `start` span. An empty trace when the trace
+/// gate was off. Checkpoints persist this and replay it verbatim on resume.
 pub type StartContribution = mlpart_obs::Trace;
-/// Zero-sized stand-in so the supervision plumbing is feature-independent.
-#[cfg(not(feature = "obs"))]
-pub type StartContribution = ();
-
-/// Splices a start's contribution into the calling thread's recorder
-/// verbatim (the wrapper spans are already inside).
-#[cfg(feature = "obs")]
-fn append_contribution(t: &StartContribution) {
-    mlpart_obs::append_raw(t);
-}
-#[cfg(not(feature = "obs"))]
-fn append_contribution(_t: &StartContribution) {}
 
 /// Fixed stride between starts in the `attempt` fault-site index space:
 /// attempt `a` of start `i` hits index `i * ATTEMPT_STRIDE + a`. Also the
@@ -168,10 +154,9 @@ pub struct PriorStart<T> {
     pub outcome: Result<T, StartFailure>,
     /// Retries the original run absorbed on this start, in attempt order.
     pub retries: Vec<RetryRecord>,
-    /// The start's full trace contribution from the original run (under
-    /// `obs`; the unit type otherwise). Spliced verbatim in start order so
-    /// a resumed run's stripped trace is byte-identical to an
-    /// uninterrupted one.
+    /// The start's full trace contribution from the original run. Spliced
+    /// verbatim in start order so a resumed run's stripped trace is
+    /// byte-identical to an uninterrupted one.
     pub trace: StartContribution,
 }
 
@@ -204,7 +189,7 @@ pub struct StartDone<'a, T> {
     pub outcome: Result<&'a T, &'a StartFailure>,
     /// Absorbed retries, in attempt order.
     pub retries: &'a [RetryRecord],
-    /// The start's full trace contribution (under `obs`).
+    /// The start's full trace contribution.
     pub trace: &'a StartContribution,
 }
 
@@ -237,10 +222,7 @@ where
     let t0 = Instant::now();
     let max = policy.attempts();
     let mut retries = Vec::new();
-    #[cfg(feature = "obs")]
-    let mut contribution = mlpart_obs::Trace::default();
-    #[cfg(not(feature = "obs"))]
-    let contribution = ();
+    let mut contribution = StartContribution::default();
     let mut attempts;
     let mut a = 0;
     let outcome = loop {
@@ -271,11 +253,7 @@ where
             }
             job(&mut rng, ws, attempt)
         });
-        #[cfg(feature = "obs")]
         let (result, trace) = mlpart_obs::capture(|| catch_unwind(body));
-        #[cfg(not(feature = "obs"))]
-        let (result, trace) = (catch_unwind(body), ());
-        #[cfg(feature = "obs")]
         if let Some(t) = &trace {
             // Attempt 0 keeps the unsupervised wrapper args so the merged
             // stream is byte-compatible with try_run_starts; retries are
@@ -347,7 +325,7 @@ fn notify_sink<T>(sink: Sink<'_, T>, i: usize, y: &StartYield<T>) {
 /// Returns the supervised batch in start order plus timing telemetry (CPU
 /// seconds cover only the starts executed *this* run). See the module docs
 /// for the determinism argument; the short version is that survivors,
-/// failures, retry records, and (under `obs`) merged trace content are
+/// failures, retry records, and (with tracing on) merged trace content are
 /// bit-identical at every thread count, and bit-identical between an
 /// uninterrupted run and any interrupt/resume split of the same batch.
 ///
@@ -500,7 +478,7 @@ where
         let y = slot.ok_or_else(|| ExecError::Lost {
             detail: format!("start {i} was never claimed by any worker"),
         })?;
-        append_contribution(&y.trace);
+        mlpart_obs::append_raw(&y.trace);
         attempts.push(y.attempts);
         retries.extend(y.retries);
         match y.outcome {
@@ -568,9 +546,9 @@ mod tests {
     /// The merged trace of a retry-free supervised batch is content-equal to
     /// the unsupervised runner's, so downstream trace consumers cannot tell
     /// the supervisor was in the loop.
-    #[cfg(feature = "obs")]
     #[test]
     fn retry_free_trace_is_byte_compatible() {
+        let _gate = crate::obs_gate_lock();
         mlpart_obs::force_enabled(true);
         let span_sup = |rng: &mut MlRng, _ws: &mut RefineWorkspace, _a: Attempt| -> u64 {
             let v = rng.gen_range(0..1000u64);

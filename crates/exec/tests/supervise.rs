@@ -254,10 +254,9 @@ fn any_resume_split_matches_the_uninterrupted_batch() {
     }
 }
 
-/// Under `obs`, a resumed run's merged trace content is byte-identical to
+/// With tracing on, a resumed run's merged trace content is byte-identical to
 /// the uninterrupted run's: resumed starts replay their checkpointed
 /// contribution verbatim, retried attempts carry their attempt tag.
-#[cfg(feature = "obs")]
 #[test]
 fn resumed_trace_content_matches_uninterrupted() {
     let span_job = |rng: &mut MlRng, _ws: &mut RefineWorkspace, _a: Attempt| -> u64 {

@@ -312,7 +312,6 @@ pub fn refine_constrained_budgeted_in(
     if !fixed.is_empty() {
         st.fixed.copy_from_slice(fixed);
     }
-    #[cfg(feature = "obs")]
     let _obs_span = mlpart_obs::span(
         "fm_refine",
         &[
@@ -688,7 +687,7 @@ impl RefineState {
         cfg: &FmConfig,
         bounds: &PartBounds,
         rng: &mut MlRng,
-        _pass_no: usize,
+        pass_no: usize,
     ) -> PassOutcome {
         let fill_start = Instant::now();
         let start_cut = if cfg.incremental_reinit && self.state_valid {
@@ -714,7 +713,6 @@ impl RefineState {
         let fill_time_ns = fill_start.elapsed().as_nanos() as u64;
         // Post-fill gain distribution and bucket occupancy; sampled here (a
         // deterministic point in the pass) only when a trace is recording.
-        #[cfg(feature = "obs")]
         let obs_fill = mlpart_obs::recording().then(|| {
             let (mut neg, mut zero, mut pos) = (0u64, 0u64, 0u64);
             let (mut gmin, mut gmax) = (0i64, 0i64);
@@ -734,7 +732,7 @@ impl RefineState {
         if mlpart_audit::enabled() {
             mlpart_audit::enforce(
                 crate::audit::audit_pass_start(self, h, p, cfg, start_cut)
-                    .map_err(|e| e.with_pass(_pass_no)),
+                    .map_err(|e| e.with_pass(pass_no)),
             );
         }
 
@@ -816,7 +814,7 @@ impl RefineState {
                                 cut,
                                 best_cut,
                             )
-                            .map_err(|e| e.with_pass(_pass_no)),
+                            .map_err(|e| e.with_pass(pass_no)),
                         );
                     }
                     debug_assert_eq!(cut, best_cut);
@@ -837,7 +835,7 @@ impl RefineState {
             if mlpart_audit::enabled() {
                 mlpart_audit::enforce(
                     mlpart_audit::check_counter("RefineState", "rollback-cut", cut, best_cut)
-                        .map_err(|e| e.with_pass(_pass_no)),
+                        .map_err(|e| e.with_pass(pass_no)),
                 );
             }
             debug_assert_eq!(cut, best_cut);
@@ -852,15 +850,14 @@ impl RefineState {
         if mlpart_audit::enabled() {
             mlpart_audit::enforce(
                 crate::audit::audit_pass_end(self, h, p, cfg, best_cut)
-                    .map_err(|e| e.with_pass(_pass_no)),
+                    .map_err(|e| e.with_pass(pass_no)),
             );
         }
-        #[cfg(feature = "obs")]
         if let Some((occupancy, gmin, gmax, neg, zero, pos)) = obs_fill {
             mlpart_obs::counter(
                 "fm_pass",
                 &[
-                    ("pass", (_pass_no as u64).into()),
+                    ("pass", (pass_no as u64).into()),
                     ("cut_before", start_cut.into()),
                     ("cut_after", best_cut.into()),
                     ("attempted", (attempted as u64).into()),

@@ -453,7 +453,6 @@ pub fn kway_refine_constrained_budgeted_in(
     for &(v, _) in fixed {
         st.fixed[v.index()] = true;
     }
-    #[cfg(feature = "obs")]
     let _obs_span = mlpart_obs::span(
         "kway_refine",
         &[
@@ -504,7 +503,6 @@ pub fn kway_refine_constrained_budgeted_in(
         // Post-fill gain distribution and total bucket occupancy, sampled
         // only when a trace is recording (the scan re-reads stored keys, so
         // it cannot perturb the pass).
-        #[cfg(feature = "obs")]
         let obs_fill = mlpart_obs::recording().then(|| {
             let (mut neg, mut zero, mut pos) = (0u64, 0u64, 0u64);
             let (mut gmin, mut gmax) = (0i64, 0i64);
@@ -634,7 +632,6 @@ pub fn kway_refine_constrained_budgeted_in(
             kept_moves: best_len,
             fill_time_ns,
         });
-        #[cfg(feature = "obs")]
         if let Some((occupancy, gmin, gmax, neg, zero, pos)) = obs_fill {
             mlpart_obs::counter(
                 "kway_pass",

@@ -15,7 +15,7 @@
 //! which worker runs which start is a scheduling accident. The exporters
 //! therefore treat the `alloc_*` keys exactly like timing — zeroed by
 //! `strip_timing`, removed entirely by `strip_profile` so traces from
-//! `obs-alloc` and plain `obs` builds compare equal on content.
+//! `obs-alloc` and default builds compare equal on content.
 //!
 //! The tallies are `Cell`s in `const`-initialized thread-local storage: no
 //! lazy initialization, no destructor, and no allocation inside the

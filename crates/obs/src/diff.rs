@@ -342,7 +342,7 @@ mod tests {
 
     fn report_doc(base: u64, kept: u64) -> String {
         crate::report::RunReport {
-            meta: vec![("algo", V::S("ml-c")), ("seed", V::U(7))],
+            meta: vec![("algo", "ml-c".into()), ("seed", 7u64.into())],
             cuts: vec![30, 31],
             failures: Vec::new(),
             truncations: Vec::new(),

@@ -67,149 +67,53 @@ fn intern(s: &str) -> &'static str {
     leaked
 }
 
-/// Byte cursor over one JSONL line. [`to_jsonl`]'s output is rigid (no
-/// whitespace, fixed key order), so the reader is a straight-line scanner
-/// rather than a general JSON parser — crucially it keeps integer argument
-/// values exact (`u64`/`i64`), where a round-trip through `json::parse`'s
-/// `f64` numbers would corrupt values above 2^53 (seeds, hash draws).
-struct LineCursor<'a> {
-    s: &'a str,
-    pos: usize,
-}
-
-impl<'a> LineCursor<'a> {
-    fn expect(&mut self, lit: &str) -> Result<(), String> {
-        if self.s[self.pos..].starts_with(lit) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {lit:?} at byte {} of {:?}",
-                self.pos, self.s
-            ))
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.as_bytes().get(self.pos).copied()
-    }
-
-    /// Parses a quoted string, unescaping what [`crate::json::escape_into`]
-    /// emits (plus the standard escapes it never produces).
-    fn string(&mut self) -> Result<String, String> {
-        self.expect("\"")?;
-        let mut out = String::new();
-        let bytes = self.s.as_bytes();
-        loop {
-            let Some(&b) = bytes.get(self.pos) else {
-                return Err(format!("unterminated string in {:?}", self.s));
+/// Reads one [`to_jsonl`] event line. The shape is strict (exactly the
+/// writer's keys, in its order); numbers stay exact through
+/// [`json::Json`]'s integer variants, which map back onto the `V` variant
+/// that re-serializes to the same bytes.
+fn event_from_line(line: &str) -> Result<crate::trace::Event, String> {
+    let doc = json::parse(line)?;
+    let [ev, name, ts, args] = doc.fields(["ev", "name", "ts", "args"])?;
+    let kind = match ev.as_str() {
+        Some("B") => EvKind::Begin,
+        Some("E") => EvKind::End,
+        Some("C") => EvKind::Counter,
+        _ => return Err(format!("unknown event kind {}", json::to_string(ev))),
+    };
+    let name = intern(name.as_str().ok_or("name must be a string")?);
+    let ts_ns = ts.as_u64().ok_or_else(|| {
+        format!(
+            "ts must be a non-negative integer, got {}",
+            json::to_string(ts)
+        )
+    })?;
+    let json::Json::Obj(pairs) = args else {
+        return Err("args must be an object".to_string());
+    };
+    let args = pairs
+        .iter()
+        .map(|(k, v)| {
+            let v = match v {
+                json::Json::U64(n) => V::U(*n),
+                json::Json::I64(n) => V::I(*n),
+                json::Json::F64(n) => V::F(*n),
+                json::Json::Str(s) => V::S(intern(s)),
+                other => {
+                    return Err(format!(
+                        "arg {k:?} has unsupported type {}",
+                        other.type_name()
+                    ))
+                }
             };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = bytes
-                        .get(self.pos)
-                        .ok_or_else(|| format!("dangling escape in {:?}", self.s))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| format!("truncated \\u escape in {:?}", self.s))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid codepoint \\u{hex}"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unknown escape \\{}", *other as char)),
-                    }
-                }
-                _ => {
-                    let c = self.s[self.pos..]
-                        .chars()
-                        .next()
-                        .expect("pos is on a char boundary");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// Parses a number token into the `V` variant that re-serializes to the
-    /// same bytes: plain digits → `U`, leading `-` → `I`, anything with a
-    /// fraction or exponent → `F`.
-    fn number(&mut self) -> Result<V, String> {
-        let start = self.pos;
-        let bytes = self.s.as_bytes();
-        while self.pos < bytes.len()
-            && matches!(
-                bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        let tok = &self.s[start..self.pos];
-        if tok.is_empty() {
-            return Err(format!("expected a number at byte {start} of {:?}", self.s));
-        }
-        if tok.contains(['.', 'e', 'E']) {
-            tok.parse::<f64>()
-                .map(V::F)
-                .map_err(|e| format!("bad number {tok:?}: {e}"))
-        } else if tok.starts_with('-') {
-            tok.parse::<i64>()
-                .map(V::I)
-                .map_err(|e| format!("bad number {tok:?}: {e}"))
-        } else {
-            tok.parse::<u64>()
-                .map(V::U)
-                .map_err(|e| format!("bad number {tok:?}: {e}"))
-        }
-    }
-
-    fn args(&mut self) -> Result<Vec<(&'static str, V)>, String> {
-        self.expect("{")?;
-        let mut args = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(args);
-        }
-        loop {
-            let key = intern(&self.string()?);
-            self.expect(":")?;
-            let value = match self.peek() {
-                Some(b'"') => V::S(intern(&self.string()?)),
-                _ => self.number()?,
-            };
-            args.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(args);
-                }
-                _ => return Err(format!("malformed args object in {:?}", self.s)),
-            }
-        }
-    }
+            Ok((intern(k), v))
+        })
+        .collect::<Result<_, String>>()?;
+    Ok(crate::trace::Event {
+        kind,
+        name,
+        ts_ns,
+        args,
+    })
 }
 
 /// Reconstructs a [`Trace`] from its [`to_jsonl`] serialization.
@@ -230,38 +134,8 @@ pub fn trace_from_jsonl(text: &str) -> Result<Trace, String> {
         if line.is_empty() {
             continue;
         }
-        let mut c = LineCursor { s: line, pos: 0 };
-        let parsed = (|| -> Result<crate::trace::Event, String> {
-            c.expect("{\"ev\":")?;
-            let kind = match c.string()?.as_str() {
-                "B" => EvKind::Begin,
-                "E" => EvKind::End,
-                "C" => EvKind::Counter,
-                other => return Err(format!("unknown event kind {other:?}")),
-            };
-            c.expect(",\"name\":")?;
-            let name = intern(&c.string()?);
-            c.expect(",\"ts\":")?;
-            let ts_ns = match c.number()? {
-                V::U(n) => n,
-                other => return Err(format!("ts must be a non-negative integer, got {other:?}")),
-            };
-            c.expect(",\"args\":")?;
-            let args = c.args()?;
-            c.expect("}")?;
-            if c.pos != line.len() {
-                return Err(format!("trailing bytes after event object in {line:?}"));
-            }
-            Ok(crate::trace::Event {
-                kind,
-                name,
-                ts_ns,
-                args,
-            })
-        })();
-        trace
-            .events
-            .push(parsed.map_err(|e| format!("trace line {}: {e}", lineno + 1))?);
+        let ev = event_from_line(line).map_err(|e| format!("trace line {}: {e}", lineno + 1))?;
+        trace.events.push(ev);
     }
     Ok(trace)
 }

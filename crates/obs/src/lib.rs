@@ -4,9 +4,10 @@
 //! paper only reports in aggregate: how the matching ratio shapes the
 //! hierarchy, how FM/CLIP passes converge at each uncoarsening level, and
 //! where time actually goes. This crate is the measurement substrate: a
-//! zero-dependency tracing layer the algorithm crates hook into behind
-//! per-crate `obs` cargo features plus an `MLPART_TRACE=1` environment gate
-//! (mirroring `mlpart-audit`'s gating exactly).
+//! zero-dependency tracing layer every algorithm crate depends on, compiled
+//! into every build and gated at runtime only — by `MLPART_TRACE=1` or
+//! [`force_enabled`] (which the CLI's tracing flags use). The one opt-in
+//! cargo feature is `obs-alloc`, because it installs a global allocator.
 //!
 //! # Determinism contract
 //!

@@ -418,7 +418,7 @@ mod tests {
         let from_jsonl = phases_from_jsonl(&crate::export::to_jsonl(&t)).expect("parses");
         assert_eq!(direct, from_jsonl, "jsonl round-trip preserves the rollup");
         let report = crate::report::RunReport {
-            meta: vec![("algo", V::S("ml-c"))],
+            meta: vec![("algo", "ml-c".into())],
             cuts: vec![7],
             failures: Vec::new(),
             truncations: Vec::new(),

@@ -165,8 +165,9 @@ pub struct RepairReportRecord {
 /// A run's machine-readable report: metadata + cuts + timing + span tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
-    /// Run metadata (algorithm, k, seed, runs, threads, circuit, …).
-    pub meta: Vec<(&'static str, V)>,
+    /// Run metadata (algorithm, k, seed, runs, threads, circuit, …), as
+    /// owned JSON values.
+    pub meta: Vec<(&'static str, json::Json)>,
     /// Final cut per start, in start order (surviving starts only).
     pub cuts: Vec<u64>,
     /// Starts that panicked, in start order (empty on a healthy run).
@@ -244,7 +245,8 @@ impl RunReport {
     pub fn to_json(&self) -> String {
         let tree = build_tree(&self.trace);
         let mut out = String::from("{\"schema\":\"mlpart-run-report-v3\",\"meta\":");
-        export::write_args(&mut out, &self.meta);
+        let meta = self.meta.iter().map(|(k, v)| (*k, v.clone()));
+        json::write_value(&mut out, &json::Json::obj(meta));
         let min = self.cuts.iter().copied().min().unwrap_or(0);
         let max = self.cuts.iter().copied().max().unwrap_or(0);
         let avg = if self.cuts.is_empty() {
@@ -673,9 +675,9 @@ mod tests {
         let _gate = crate::test_gate_lock();
         let report = RunReport {
             meta: vec![
-                ("algo", V::S("ml-fm")),
-                ("seed", V::U(1)),
-                ("runs", V::U(2)),
+                ("algo", "ml-fm".into()),
+                ("seed", 1u64.into()),
+                ("runs", 2u64.into()),
             ],
             cuts: vec![31, 30],
             failures: Vec::new(),
@@ -738,7 +740,7 @@ mod tests {
     fn parse_report_round_trips_current_output() {
         let _gate = crate::test_gate_lock();
         let report = RunReport {
-            meta: vec![("algo", V::S("ml-fm")), ("seed", V::U(1))],
+            meta: vec![("algo", "ml-fm".into()), ("seed", 1u64.into())],
             cuts: vec![31, 30],
             failures: Vec::new(),
             truncations: Vec::new(),
@@ -781,7 +783,7 @@ mod tests {
     fn failures_and_truncations_serialize() {
         let _gate = crate::test_gate_lock();
         let report = RunReport {
-            meta: vec![("algo", V::S("ml-fm"))],
+            meta: vec![("algo", "ml-fm".into())],
             cuts: vec![30],
             failures: vec![FailureRecord {
                 start: 1,

@@ -9,6 +9,10 @@ use obs::report::RunReport;
 use obs::trace::{EvKind, V};
 
 fn traced_workload() -> obs::Trace {
+    // The gate is process-global: without the lock, one test's
+    // `force_enabled(false)` can land inside another's capture.
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     obs::force_enabled(true);
     let (_, trace) = obs::capture(|| {
         let _run = obs::span("run", &[("runs", 1u64.into())]);
@@ -55,7 +59,7 @@ fn span_end_events_carry_alloc_args() {
 #[test]
 fn report_profile_rolls_alloc_up_per_phase() {
     let report = RunReport {
-        meta: vec![("algo", obs::V::S("ml-fm")), ("seed", 1u64.into())],
+        meta: vec![("algo", "ml-fm".into()), ("seed", 1u64.into())],
         cuts: vec![30],
         failures: Vec::new(),
         truncations: Vec::new(),
@@ -85,8 +89,8 @@ fn report_profile_rolls_alloc_up_per_phase() {
 }
 
 /// `strip_profile` erases every allocator artifact, so a document from
-/// this obs-alloc build is byte-identical to what a plain `obs` build
-/// emits for the same content — the cross-build comparison `obs-diff`
+/// this obs-alloc build is byte-identical to what a default build emits
+/// for the same content — the cross-build comparison `obs-diff`
 /// relies on. Simulated here by hand-stripping the alloc args from the
 /// trace (a plain build of this test can't run in the same binary).
 #[test]

@@ -65,7 +65,7 @@ fn crashy_trace(scale: u64) -> Trace {
 /// (non-normative) timestamps; `retry_message` perturbs normative content.
 fn crashy_report(scale: u64, retry_message: &str) -> String {
     RunReport {
-        meta: vec![("algo", V::S("ml-fm")), ("seed", V::U(7))],
+        meta: vec![("algo", "ml-fm".into()), ("seed", 7u64.into())],
         cuts: vec![30, 33],
         failures: vec![FailureRecord {
             start: 2,

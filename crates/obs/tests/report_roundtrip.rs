@@ -24,7 +24,7 @@ fn sample_report() -> RunReport {
     });
     obs::force_enabled(false);
     RunReport {
-        meta: vec![("algo", obs::V::S("ml-fm")), ("seed", 1997u64.into())],
+        meta: vec![("algo", "ml-fm".into()), ("seed", 1997u64.into())],
         cuts: vec![31, 30],
         failures: Vec::new(),
         truncations: Vec::new(),
@@ -115,13 +115,13 @@ fn v2_baseline_diffs_against_v3_candidate() {
     obs::force_enabled(false);
     let v3 = RunReport {
         meta: vec![
-            ("algo", obs::V::S("ml-fm")),
+            ("algo", "ml-fm".into()),
             ("k", 2u64.into()),
-            ("eps", obs::V::F(0.1)),
+            ("eps", 0.1.into()),
             ("seed", 1997u64.into()),
             ("runs", 2u64.into()),
             ("threads", 1u64.into()),
-            ("circuit", obs::V::S("syn-balu")),
+            ("circuit", "syn-balu".into()),
         ],
         cuts: vec![31, 30],
         failures: Vec::new(),

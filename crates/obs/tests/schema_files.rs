@@ -40,7 +40,7 @@ fn chrome_trace_matches_checked_in_schema() {
 #[test]
 fn run_report_matches_checked_in_schema() {
     let report = RunReport {
-        meta: vec![("algo", obs::V::S("ml-c")), ("seed", 5u64.into())],
+        meta: vec![("algo", "ml-c".into()), ("seed", 5u64.into())],
         cuts: vec![7, 9],
         failures: vec![obs::report::FailureRecord {
             start: 1,

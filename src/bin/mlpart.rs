@@ -37,9 +37,9 @@
 //!
 //! `--trace-out` writes a Chrome Trace Event file (loadable in Perfetto or
 //! `chrome://tracing`) and `--report-out` writes a `mlpart-run-report-v3`
-//! JSON document; both need a binary built with the `obs` feature and imply
-//! tracing for the whole run. Trace *content* (everything except the
-//! timestamp fields) is bit-identical across repeats and thread counts.
+//! JSON document; both imply tracing for the whole run. Trace *content*
+//! (everything except the timestamp fields) is bit-identical across repeats
+//! and thread counts.
 //!
 //! `--retries` gives each start up to N deterministically reseeded
 //! attempts before it counts as failed; `--checkpoint` records every
@@ -188,10 +188,10 @@ options:
   --threads P     worker threads (results identical for all P) [cores]
   --output PATH   write the best partition (one part id/line)
   --stats         print the first start's per-level trajectory
-  --trace-out F   write a Chrome Trace Event file  (obs build)
-  --report-out F  write a mlpart-run-report-v3 doc (obs build)
+  --trace-out F   write a Chrome Trace Event file
+  --report-out F  write a mlpart-run-report-v3 doc
   --folded-out F  write folded stacks for flamegraph.pl/inferno
-                  (obs build; self-time per stack, ns samples)
+                  (self-time per stack, ns samples)
 
 budgets (per start; cooperative, checked at pass/level boundaries):
   --max-moves N      stop refining after ~N attempted moves
@@ -593,7 +593,6 @@ fn run_once(
 /// as [`print_level_stats`], reconstructed from span/counter events instead
 /// of the `LevelStats` side channel (the trace is the source of truth when
 /// tracing is on). Only the first start is shown, matching the legacy path.
-#[cfg(feature = "obs")]
 fn print_level_rows(trace: &mlpart::obs::Trace) {
     let rows: Vec<_> = mlpart::obs::report::level_rows(trace)
         .into_iter()
@@ -621,7 +620,6 @@ fn print_level_rows(trace: &mlpart::obs::Trace) {
 
 /// Writes `content` to `path` atomically (write-temp-then-rename), mapping
 /// failures to a printable message.
-#[cfg(feature = "obs")]
 fn write_text(path: &str, content: &str) -> Result<(), String> {
     mlpart::hypergraph::io::write_atomic(path, content.as_bytes())
         .map_err(|e| format!("cannot write {path}: {e}"))
@@ -733,15 +731,6 @@ fn main() -> ExitCode {
     );
     let tracing =
         args.trace_out.is_some() || args.report_out.is_some() || args.folded_out.is_some();
-    #[cfg(not(feature = "obs"))]
-    if tracing {
-        eprintln!(
-            "--trace-out/--report-out/--folded-out need a binary built with the `obs` \
-             feature (cargo build --release --features obs)"
-        );
-        return ExitCode::from(EXIT_INVALID_INPUT);
-    }
-    #[cfg(feature = "obs")]
     if tracing {
         mlpart::obs::force_enabled(true);
     }
@@ -837,7 +826,6 @@ fn main() -> ExitCode {
     // streams arrive merged in start order — restored starts splice their
     // recorded streams back in, keeping resumed trace content identical.
     let run_batch = || {
-        #[cfg(feature = "obs")]
         let _obs_run = mlpart::obs::span(
             "run",
             &[
@@ -867,10 +855,7 @@ fn main() -> ExitCode {
             },
         )
     };
-    #[cfg(feature = "obs")]
     let (batch_result, trace) = mlpart::obs::capture(run_batch);
-    #[cfg(not(feature = "obs"))]
-    let batch_result = run_batch();
     let (batch, timing) = match batch_result {
         Ok(ok) => ok,
         Err(e @ ExecError::AllStartsFailed { .. }) => {
@@ -897,10 +882,7 @@ fn main() -> ExitCode {
     let mut cuts = Vec::with_capacity(batch.survivors.len());
     let mut truncations: Vec<(usize, Truncation)> = Vec::new();
     let mut repairs: Vec<(usize, RepairRecord)> = Vec::new();
-    #[cfg(feature = "obs")]
     let print_legacy_stats = args.stats && trace.is_none();
-    #[cfg(not(feature = "obs"))]
-    let print_legacy_stats = args.stats;
     for (i, outcome) in batch.survivors {
         match outcome {
             Ok(v) => {
@@ -946,7 +928,6 @@ fn main() -> ExitCode {
             t.site
         );
     }
-    #[cfg(feature = "obs")]
     if let Some(trace) = trace {
         if args.stats {
             print_level_rows(&trace);
@@ -968,14 +949,8 @@ fn main() -> ExitCode {
         if let Some(path) = &args.report_out {
             let report = mlpart::obs::report::RunReport {
                 meta: vec![
-                    (
-                        "circuit",
-                        mlpart::obs::V::S(Box::leak(args.input.clone().into_boxed_str())),
-                    ),
-                    (
-                        "algo",
-                        mlpart::obs::V::S(Box::leak(args.algo.clone().into_boxed_str())),
-                    ),
+                    ("circuit", args.input.as_str().into()),
+                    ("algo", args.algo.as_str().into()),
                     ("k", args.k.into()),
                     ("ratio", args.ratio.into()),
                     ("threshold", args.threshold.into()),

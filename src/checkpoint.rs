@@ -22,10 +22,10 @@
 //! the resumed batch's partition output and stripped run report are
 //! byte-identical to an uninterrupted run's.
 //!
-//! Like the `obs` exporters, the format is hand-rolled: the writer emits a
-//! fixed key order and the parser is a strict cursor over exactly that
-//! shape, which keeps round-trips byte-exact (including `u64` values that
-//! a float-based JSON parser would corrupt) with no serde dependency.
+//! Lines are built and parsed through [`mlpart_obs::json`], whose integers
+//! are exact at full `u64` range: the writer emits a fixed key order and
+//! the loader accepts exactly that shape, so round-trips are byte-exact
+//! and anything else is a named error, never a panic.
 
 use mlpart_core::{LevelStats, Truncation};
 use mlpart_exec::supervise::StartContribution;
@@ -34,8 +34,8 @@ use mlpart_fm::{Budget, BudgetLimit, RepairRecord};
 use mlpart_hypergraph::io::write_atomic;
 use mlpart_hypergraph::metrics::cut;
 use mlpart_hypergraph::{Hypergraph, Partition};
+use mlpart_obs::json::{self, Json};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// The schema tag every checkpoint header carries.
@@ -51,7 +51,7 @@ pub struct StartOutcome {
     pub cut: u64,
     /// Per-level refinement trajectory (multilevel algorithms only).
     /// **Not persisted**: restored starts report an empty trajectory; the
-    /// trace carries the same rows for `obs` builds.
+    /// trace carries the same rows for traced runs.
     pub level_stats: Vec<LevelStats>,
     /// Budget-truncation record, when a `--max-*` limit fired.
     pub truncation: Option<Truncation>,
@@ -99,335 +99,140 @@ pub struct CheckpointConfig {
     pub traced: bool,
 }
 
-fn esc(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    esc(out, s);
-    out.push('"');
-}
-
-fn write_opt_str(out: &mut String, s: Option<&str>) {
-    match s {
-        Some(s) => write_str(out, s),
-        None => out.push_str("null"),
-    }
-}
-
-/// Integral finite values print as integer digits, everything else via
-/// `Display` (shortest round-trip) — the same policy as `obs::json`, so
-/// header lines are reproducible bytes.
-fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() && v == v.trunc() && v.abs() < 9.0e15 {
-        let _ = write!(out, "{}", v as i64);
-    } else {
-        let _ = write!(out, "{v}");
-    }
-}
-
-fn write_opt_u64(out: &mut String, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            let _ = write!(out, "{v}");
-        }
-        None => out.push_str("null"),
-    }
-}
-
 impl CheckpointConfig {
     /// The header line this invocation writes — and the exact bytes a
     /// `--resume` of it must find on the first line.
     pub fn header_line(&self) -> String {
-        let mut o = String::with_capacity(256);
-        o.push_str("{\"schema\":\"");
-        o.push_str(SCHEMA);
-        o.push_str("\",\"config\":{\"circuit\":");
-        write_str(&mut o, &self.circuit);
-        o.push_str(",\"algo\":");
-        write_str(&mut o, &self.algo);
-        let _ = write!(o, ",\"k\":{}", self.k);
-        o.push_str(",\"epsilon\":");
-        match self.epsilon {
-            Some(e) => write_f64(&mut o, e),
-            None => o.push_str("null"),
-        }
-        o.push_str(",\"fixed\":");
-        write_opt_str(&mut o, self.fixed.as_deref());
-        o.push_str(",\"ratio\":");
-        write_f64(&mut o, self.ratio);
-        let _ = write!(
-            o,
-            ",\"threshold\":{},\"runs\":{},\"seed\":{},\"retries\":{}",
-            self.threshold, self.runs, self.seed, self.retries
-        );
-        o.push_str(",\"degraded_passes\":");
-        write_opt_u64(&mut o, self.degraded_passes);
-        o.push_str(",\"max_moves\":");
-        write_opt_u64(&mut o, self.budget.max_moves);
-        o.push_str(",\"max_passes\":");
-        write_opt_u64(&mut o, self.budget.max_passes);
-        o.push_str(",\"max_levels\":");
-        write_opt_u64(&mut o, self.budget.max_levels);
-        o.push_str(",\"deadline_secs\":");
-        match self.budget.soft_deadline_secs {
-            Some(s) => write_f64(&mut o, s),
-            None => o.push_str("null"),
-        }
-        let _ = write!(o, ",\"traced\":{}}}}}", self.traced);
-        o
+        let b = &self.budget;
+        json::to_string(&Json::obj([
+            ("schema", SCHEMA.into()),
+            (
+                "config",
+                Json::obj([
+                    ("circuit", self.circuit.as_str().into()),
+                    ("algo", self.algo.as_str().into()),
+                    ("k", self.k.into()),
+                    ("epsilon", self.epsilon.into()),
+                    ("fixed", self.fixed.as_deref().into()),
+                    ("ratio", self.ratio.into()),
+                    ("threshold", self.threshold.into()),
+                    ("runs", self.runs.into()),
+                    ("seed", self.seed.into()),
+                    ("retries", self.retries.into()),
+                    ("degraded_passes", self.degraded_passes.into()),
+                    ("max_moves", b.max_moves.into()),
+                    ("max_passes", b.max_passes.into()),
+                    ("max_levels", b.max_levels.into()),
+                    ("deadline_secs", b.soft_deadline_secs.into()),
+                    ("traced", self.traced.into()),
+                ]),
+            ),
+        ]))
     }
 }
 
-fn write_retry(out: &mut String, r: &RetryRecord) {
-    let _ = write!(out, "{{\"attempt\":{},\"message\":", r.attempt);
-    write_str(out, &r.message);
-    out.push_str(",\"phase\":");
-    write_opt_str(out, r.phase.as_deref());
-    out.push('}');
-}
-
-fn write_truncation(out: &mut String, t: &Truncation) {
-    out.push_str("{\"limit\":");
-    write_str(out, t.limit.name());
-    out.push_str(",\"site\":");
-    write_str(out, t.site);
-    out.push_str(",\"level\":");
-    write_opt_u64(out, t.level.map(u64::from));
-    out.push_str(",\"pass\":");
-    write_opt_u64(out, t.pass.map(u64::from));
-    out.push('}');
-}
-
-fn write_repair(out: &mut String, r: &RepairRecord) {
-    let _ = write!(
-        out,
-        "{{\"moves\":{},\"cut_before\":{},\"cut_after\":{},\"feasible\":{}}}",
-        r.moves, r.cut_before, r.cut_after, r.feasible
-    );
-}
-
-#[cfg(feature = "obs")]
-fn trace_text(t: &StartContribution) -> String {
-    mlpart_obs::to_jsonl(t)
-}
-#[cfg(not(feature = "obs"))]
-fn trace_text(_t: &StartContribution) -> String {
-    String::new()
-}
-
-#[cfg(feature = "obs")]
-fn parse_trace(start: usize, text: &str) -> Result<StartContribution, String> {
-    mlpart_obs::trace_from_jsonl(text).map_err(|e| format!("start {start}: bad trace: {e}"))
-}
-#[cfg(not(feature = "obs"))]
-fn parse_trace(_start: usize, _text: &str) -> Result<StartContribution, String> {
-    Ok(())
+fn outcome_json(outcome: Result<&StartValue, &StartFailure>) -> Json {
+    match outcome {
+        Ok(Ok(v)) => Json::obj([(
+            "ok",
+            Json::obj([
+                ("cut", v.cut.into()),
+                (
+                    "parts",
+                    Json::Arr(v.partition.assignment().iter().map(|&p| p.into()).collect()),
+                ),
+                (
+                    "truncation",
+                    v.truncation.as_ref().map_or(Json::Null, |t| {
+                        Json::obj([
+                            ("limit", t.limit.name().into()),
+                            ("site", t.site.into()),
+                            ("level", t.level.into()),
+                            ("pass", t.pass.into()),
+                        ])
+                    }),
+                ),
+                (
+                    "repair",
+                    v.repair.as_ref().map_or(Json::Null, |r| {
+                        Json::obj([
+                            ("moves", r.moves.into()),
+                            ("cut_before", r.cut_before.into()),
+                            ("cut_after", r.cut_after.into()),
+                            ("feasible", r.feasible.into()),
+                        ])
+                    }),
+                ),
+            ]),
+        )]),
+        Ok(Err(msg)) => Json::obj([("err", msg.as_str().into())]),
+        Err(f) => Json::obj([(
+            "failed",
+            Json::obj([
+                ("message", f.message.as_str().into()),
+                ("phase", f.phase.as_deref().into()),
+            ]),
+        )]),
+    }
 }
 
 /// Serializes one completed start as its checkpoint record line (no
 /// trailing newline).
 pub fn record_line(done: &StartDone<'_, StartValue>) -> String {
-    let mut o = String::with_capacity(256);
-    let _ = write!(
-        o,
-        "{{\"start\":{},\"attempts\":{},\"retries\":[",
-        done.start, done.attempts
-    );
-    for (n, r) in done.retries.iter().enumerate() {
-        if n > 0 {
-            o.push(',');
-        }
-        write_retry(&mut o, r);
-    }
-    o.push_str("],\"outcome\":");
-    match done.outcome {
-        Ok(Ok(v)) => {
-            let _ = write!(o, "{{\"ok\":{{\"cut\":{},\"parts\":[", v.cut);
-            for (n, &p) in v.partition.assignment().iter().enumerate() {
-                if n > 0 {
-                    o.push(',');
-                }
-                let _ = write!(o, "{p}");
-            }
-            o.push_str("],\"truncation\":");
-            match &v.truncation {
-                Some(t) => write_truncation(&mut o, t),
-                None => o.push_str("null"),
-            }
-            o.push_str(",\"repair\":");
-            match &v.repair {
-                Some(r) => write_repair(&mut o, r),
-                None => o.push_str("null"),
-            }
-            o.push_str("}}");
-        }
-        Ok(Err(msg)) => {
-            o.push_str("{\"err\":");
-            write_str(&mut o, msg);
-            o.push('}');
-        }
-        Err(f) => {
-            o.push_str("{\"failed\":{\"message\":");
-            write_str(&mut o, &f.message);
-            o.push_str(",\"phase\":");
-            write_opt_str(&mut o, f.phase.as_deref());
-            o.push_str("}}");
-        }
-    }
-    o.push_str(",\"trace\":");
-    write_str(&mut o, &trace_text(done.trace));
-    o.push('}');
-    o
+    let retries = done.retries.iter().map(|r| {
+        Json::obj([
+            ("attempt", r.attempt.into()),
+            ("message", r.message.as_str().into()),
+            ("phase", r.phase.as_deref().into()),
+        ])
+    });
+    json::to_string(&Json::obj([
+        ("start", done.start.into()),
+        ("attempts", done.attempts.into()),
+        ("retries", Json::Arr(retries.collect())),
+        ("outcome", outcome_json(done.outcome)),
+        ("trace", mlpart_obs::to_jsonl(done.trace).into()),
+    ]))
 }
 
-/// Strict cursor over one checkpoint line. The writer emits a fixed key
-/// order, so the parser expects exactly that shape; anything else is a
-/// named error, never a panic.
-struct Cur<'a> {
-    s: &'a str,
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(s: &'a str) -> Self {
-        Cur { s, pos: 0 }
-    }
-
-    fn rest(&self) -> &'a str {
-        // pos only ever advances by lengths of prefixes of rest(), so it
-        // stays on a char boundary; out-of-range would be a cursor bug and
-        // parses as exhausted input rather than a panic.
-        self.s.get(self.pos..).unwrap_or("")
-    }
-
-    fn lit(&mut self, l: &str) -> Result<(), String> {
-        if self.rest().starts_with(l) {
-            self.pos += l.len();
-            Ok(())
-        } else {
-            let got: String = self.rest().chars().take(20).collect();
-            Err(format!(
-                "expected {l:?} at byte {}, found {got:?}",
-                self.pos
-            ))
-        }
-    }
-
-    fn peek(&self, l: &str) -> bool {
-        self.rest().starts_with(l)
-    }
-
-    fn uint(&mut self) -> Result<u64, String> {
-        let digits: &str = {
-            let rest = self.rest();
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest.get(..end).unwrap_or(rest)
+fn uint(v: &Json, what: &str) -> Result<u64, String> {
+    v.as_u64().ok_or_else(|| {
+        let found = match v {
+            Json::U64(_) | Json::I64(_) | Json::F64(_) => json::to_string(v),
+            other => other.type_name().to_string(),
         };
-        if digits.is_empty() {
-            return Err(format!("expected a number at byte {}", self.pos));
-        }
-        self.pos += digits.len();
-        digits
-            .parse::<u64>()
-            .map_err(|e| format!("bad number {digits:?}: {e}"))
-    }
+        format!("{what}: expected a non-negative integer, found {found}")
+    })
+}
 
-    fn opt_uint(&mut self) -> Result<Option<u64>, String> {
-        if self.peek("null") {
-            self.pos += 4;
-            Ok(None)
-        } else {
-            self.uint().map(Some)
-        }
-    }
+fn uint32(v: &Json, what: &str) -> Result<u32, String> {
+    let n = uint(v, what)?;
+    u32::try_from(n).map_err(|_| format!("{what}: {n} out of range"))
+}
 
-    fn boolean(&mut self) -> Result<bool, String> {
-        if self.peek("true") {
-            self.pos += 4;
-            Ok(true)
-        } else if self.peek("false") {
-            self.pos += 5;
-            Ok(false)
-        } else {
-            Err(format!("expected a boolean at byte {}", self.pos))
-        }
+fn opt_uint32(v: &Json, what: &str) -> Result<Option<u32>, String> {
+    match v {
+        Json::Null => Ok(None),
+        v => uint32(v, what).map(Some),
     }
+}
 
-    fn string(&mut self) -> Result<String, String> {
-        self.lit("\"")?;
-        let mut out = String::new();
-        let mut chars = self.rest().char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.pos += i + 1;
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'b')) => out.push('\u{8}'),
-                    Some((_, 'f')) => out.push('\u{c}'),
-                    Some((_, 'u')) => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let (_, h) = chars
-                                .next()
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            code = code * 16
-                                + h.to_digit(16)
-                                    .ok_or_else(|| format!("bad \\u hex digit {h:?}"))?;
-                        }
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("bad \\u code point {code:#x}"))?,
-                        );
-                    }
-                    Some((_, e)) => return Err(format!("bad escape \\{e}")),
-                    None => return Err("truncated escape".to_string()),
-                },
-                c => out.push(c),
-            }
-        }
-        Err("unterminated string".to_string())
-    }
+fn string(v: &Json, what: &str) -> Result<String, String> {
+    v.as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("{what}: expected a string, found {}", v.type_name()))
+}
 
-    fn opt_string(&mut self) -> Result<Option<String>, String> {
-        if self.peek("null") {
-            self.pos += 4;
-            Ok(None)
-        } else {
-            self.string().map(Some)
-        }
+fn opt_string(v: &Json, what: &str) -> Result<Option<String>, String> {
+    match v {
+        Json::Null => Ok(None),
+        v => string(v, what).map(Some),
     }
+}
 
-    fn done(&self) -> Result<(), String> {
-        if self.pos == self.s.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing bytes at {}", self.pos))
-        }
-    }
+fn array<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
+    v.as_arr()
+        .ok_or_else(|| format!("{what}: expected an array, found {}", v.type_name()))
 }
 
 fn limit_from_name(name: &str) -> Result<BudgetLimit, String> {
@@ -449,102 +254,54 @@ fn site_from_name(name: &str) -> Result<&'static str, String> {
     })
 }
 
-fn parse_truncation(c: &mut Cur) -> Result<Truncation, String> {
-    c.lit("{\"limit\":")?;
-    let limit = limit_from_name(&c.string()?)?;
-    c.lit(",\"site\":")?;
-    let site = site_from_name(&c.string()?)?;
-    c.lit(",\"level\":")?;
-    let level = c.opt_uint()?;
-    c.lit(",\"pass\":")?;
-    let pass = c.opt_uint()?;
-    c.lit("}")?;
-    let narrow = |v: Option<u64>| -> Result<Option<u32>, String> {
-        v.map(|v| u32::try_from(v).map_err(|_| format!("level/pass {v} out of range")))
-            .transpose()
-    };
-    Ok(Truncation {
-        limit,
-        site,
-        level: narrow(level)?,
-        pass: narrow(pass)?,
-    })
-}
-
-fn parse_repair(c: &mut Cur) -> Result<RepairRecord, String> {
-    c.lit("{\"moves\":")?;
-    let moves = c.uint()?;
-    c.lit(",\"cut_before\":")?;
-    let cut_before = c.uint()?;
-    c.lit(",\"cut_after\":")?;
-    let cut_after = c.uint()?;
-    c.lit(",\"feasible\":")?;
-    let feasible = c.boolean()?;
-    c.lit("}")?;
-    Ok(RepairRecord {
-        moves,
-        cut_before,
-        cut_after,
-        feasible,
-    })
-}
-
-/// Parses one record line back into the [`PriorStart`] the executor
-/// replays. `h` anchors partition reconstruction (assignment length and
-/// part ids are validated, and the stored cut is recomputed and checked).
-fn parse_record(line: &str, h: &Hypergraph, k: u32) -> Result<PriorStart<StartValue>, String> {
-    let mut c = Cur::new(line);
-    c.lit("{\"start\":")?;
-    let start = usize::try_from(c.uint()?).map_err(|e| e.to_string())?;
-    c.lit(",\"attempts\":")?;
-    let attempts = u32::try_from(c.uint()?).map_err(|_| "attempts out of range".to_string())?;
-    c.lit(",\"retries\":[")?;
-    let mut retries = Vec::new();
-    while !c.peek("]") {
-        if !retries.is_empty() {
-            c.lit(",")?;
-        }
-        c.lit("{\"attempt\":")?;
-        let attempt = u32::try_from(c.uint()?).map_err(|_| "attempt out of range".to_string())?;
-        c.lit(",\"message\":")?;
-        let message = c.string()?;
-        c.lit(",\"phase\":")?;
-        let phase = c.opt_string()?;
-        c.lit("}")?;
-        retries.push(RetryRecord {
-            start,
-            attempt,
-            message,
-            phase,
-        });
+fn parse_truncation(v: &Json) -> Result<Option<Truncation>, String> {
+    if *v == Json::Null {
+        return Ok(None);
     }
-    c.lit("],\"outcome\":")?;
-    let outcome: Result<StartValue, StartFailure> = if c.peek("{\"ok\":") {
-        c.lit("{\"ok\":{\"cut\":")?;
-        let stored_cut = c.uint()?;
-        c.lit(",\"parts\":[")?;
-        let mut parts: Vec<u32> = Vec::new();
-        while !c.peek("]") {
-            if !parts.is_empty() {
-                c.lit(",")?;
-            }
-            parts.push(u32::try_from(c.uint()?).map_err(|_| "part id out of range".to_string())?);
-        }
-        c.lit("],\"truncation\":")?;
-        let truncation = if c.peek("null") {
-            c.lit("null")?;
-            None
-        } else {
-            Some(parse_truncation(&mut c)?)
-        };
-        c.lit(",\"repair\":")?;
-        let repair = if c.peek("null") {
-            c.lit("null")?;
-            None
-        } else {
-            Some(parse_repair(&mut c)?)
-        };
-        c.lit("}}")?;
+    let [limit, site, level, pass] = v.fields(["limit", "site", "level", "pass"])?;
+    Ok(Some(Truncation {
+        limit: limit_from_name(&string(limit, "limit")?)?,
+        site: site_from_name(&string(site, "site")?)?,
+        level: opt_uint32(level, "level")?,
+        pass: opt_uint32(pass, "pass")?,
+    }))
+}
+
+fn parse_repair(v: &Json) -> Result<Option<RepairRecord>, String> {
+    if *v == Json::Null {
+        return Ok(None);
+    }
+    let [moves, cut_before, cut_after, feasible] =
+        v.fields(["moves", "cut_before", "cut_after", "feasible"])?;
+    let Json::Bool(feasible) = *feasible else {
+        return Err("feasible: expected a boolean".to_string());
+    };
+    Ok(Some(RepairRecord {
+        moves: uint(moves, "moves")?,
+        cut_before: uint(cut_before, "cut_before")?,
+        cut_after: uint(cut_after, "cut_after")?,
+        feasible,
+    }))
+}
+
+/// Parses a record's `outcome` object: exactly one of `ok`, `err`, or
+/// `failed`.
+fn parse_outcome(
+    v: &Json,
+    start: usize,
+    h: &Hypergraph,
+    k: u32,
+) -> Result<Result<StartValue, StartFailure>, String> {
+    if let Ok([ok]) = v.fields(["ok"]) {
+        let [stored_cut, parts, truncation, repair] =
+            ok.fields(["cut", "parts", "truncation", "repair"])?;
+        let stored_cut = uint(stored_cut, "cut")?;
+        let parts = array(parts, "parts")?
+            .iter()
+            .map(|p| uint32(p, "part id"))
+            .collect::<Result<Vec<u32>, String>>()?;
+        let truncation = parse_truncation(truncation)?;
+        let repair = parse_repair(repair)?;
         let partition = Partition::from_assignment(h, k, parts)
             .ok_or_else(|| format!("start {start}: assignment does not fit the netlist"))?;
         if cut(h, &partition) != stored_cut {
@@ -552,41 +309,60 @@ fn parse_record(line: &str, h: &Hypergraph, k: u32) -> Result<PriorStart<StartVa
                 "start {start}: stored cut {stored_cut} disagrees with the assignment"
             ));
         }
-        Ok(Ok(StartOutcome {
+        Ok(Ok(Ok(StartOutcome {
             partition,
             cut: stored_cut,
             level_stats: Vec::new(),
             truncation,
             repair,
-        }))
-    } else if c.peek("{\"err\":") {
-        c.lit("{\"err\":")?;
-        let msg = c.string()?;
-        c.lit("}")?;
-        Ok(Err(msg))
+        })))
+    } else if let Ok([msg]) = v.fields(["err"]) {
+        Ok(Ok(Err(string(msg, "err")?)))
     } else {
-        c.lit("{\"failed\":{\"message\":")?;
-        let message = c.string()?;
-        c.lit(",\"phase\":")?;
-        let phase = c.opt_string()?;
-        c.lit("}}")?;
-        Err(StartFailure {
+        let [failed] = v
+            .fields(["failed"])
+            .map_err(|_| "outcome: expected one of ok, err, failed".to_string())?;
+        let [message, phase] = failed.fields(["message", "phase"])?;
+        Ok(Err(StartFailure {
             start,
-            message,
-            phase,
+            message: string(message, "message")?,
+            phase: opt_string(phase, "phase")?,
+        }))
+    }
+}
+
+/// Parses one record line back into the [`PriorStart`] the executor
+/// replays. `h` anchors partition reconstruction (assignment length and
+/// part ids are validated, and the stored cut is recomputed and checked).
+fn parse_record(line: &str, h: &Hypergraph, k: u32) -> Result<PriorStart<StartValue>, String> {
+    let doc = json::parse(line)?;
+    let [start, attempts, retries, outcome, trace] =
+        doc.fields(["start", "attempts", "retries", "outcome", "trace"])?;
+    let start = usize::try_from(uint(start, "start")?).map_err(|e| e.to_string())?;
+    let attempts = uint32(attempts, "attempts")?;
+    let retries = array(retries, "retries")?
+        .iter()
+        .map(|r| {
+            let [attempt, message, phase] = r.fields(["attempt", "message", "phase"])?;
+            Ok(RetryRecord {
+                start,
+                attempt: uint32(attempt, "attempt")?,
+                message: string(message, "message")?,
+                phase: opt_string(phase, "phase")?,
+            })
         })
-    };
-    c.lit(",\"trace\":")?;
-    let trace_text = c.string()?;
-    c.lit("}")?;
-    c.done()?;
+        .collect::<Result<Vec<_>, String>>()?;
     Ok(PriorStart {
         start,
         attempts,
-        outcome,
+        outcome: parse_outcome(outcome, start, h, k)?,
         retries,
-        trace: parse_trace(start, &trace_text)?,
+        trace: parse_trace(start, &string(trace, "trace")?)?,
     })
+}
+
+fn parse_trace(start: usize, text: &str) -> Result<StartContribution, String> {
+    mlpart_obs::trace_from_jsonl(text).map_err(|e| format!("start {start}: bad trace: {e}"))
 }
 
 /// A parsed checkpoint: the resume state for the executor plus the
@@ -923,6 +699,28 @@ mod tests {
         let text = format!("{}\n{line}\n", small.header_line());
         let e = load(&text, &small, &h).expect_err("out of range");
         assert!(e.contains("out of range"), "{e}");
+        // Numbers outside a field's domain are named errors, not panics or
+        // silent roundings: negative, fractional, past u64, past u32.
+        assert!(line.contains("\"attempts\":2,"), "fixture changed: {line}");
+        for (bad, expect) in [
+            ("-2", "attempts: expected a non-negative integer, found -2"),
+            (
+                "2.5",
+                "attempts: expected a non-negative integer, found 2.5",
+            ),
+            ("18446744073709551616", "invalid number"),
+            ("4294967296", "attempts: 4294967296 out of range"),
+        ] {
+            let broken = line.replace("\"attempts\":2,", &format!("\"attempts\":{bad},"));
+            let text = format!("{}\n{broken}\n", cfg.header_line());
+            let e = load(&text, &cfg, &h).expect_err(bad);
+            assert!(e.starts_with("checkpoint record 0: "), "{e}");
+            assert!(e.contains(expect), "{bad}: {e}");
+        }
+        let broken = line.replace("\"cut\":1,", "\"cut\":-1,");
+        let text = format!("{}\n{broken}\n", cfg.header_line());
+        let e = load(&text, &cfg, &h).expect_err("negative cut");
+        assert!(e.contains("cut: expected a non-negative integer"), "{e}");
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * [`kway`] — Sanchis-style k-way FM without lookahead;
 //! * [`lsmc`] — the Large-Step Markov Chain baseline;
 //! * [`place`] — the GORDIAN-analogue quadratic placer;
-//! * `obs` (feature-gated) — deterministic structured tracing, metrics,
-//!   and run-report exporters behind `MLPART_TRACE=1`;
+//! * [`obs`] — deterministic structured tracing, metrics, and run-report
+//!   exporters behind `MLPART_TRACE=1` (or the CLI's tracing flags);
 //! * `fault` (feature-gated) — deterministic fault injection (panics and
 //!   budget exhaustion at named sites) behind `MLPART_FAULTS`.
 //!
@@ -56,9 +56,6 @@ pub use mlpart_gen as gen;
 pub use mlpart_hypergraph as hypergraph;
 pub use mlpart_kway as kway;
 pub use mlpart_lsmc as lsmc;
-/// Structured observability: spans, counters, trace/report exporters.
-/// Present only with the `obs` feature.
-#[cfg(feature = "obs")]
 pub use mlpart_obs as obs;
 pub use mlpart_place as place;
 

@@ -109,27 +109,12 @@ fn thread_count_does_not_change_results() {
     let _ = std::fs::remove_file(&part4);
 }
 
-/// Without the `obs` feature the tracing flags fail fast with a pointer to
-/// the right build invocation instead of silently writing nothing.
-#[cfg(not(feature = "obs"))]
-#[test]
-fn tracing_flags_require_obs_feature() {
-    let out = mlpart()
-        .args(["syn-balu", "--runs", "1", "--trace-out", "x.json"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("obs"), "stderr should name the feature: {err}");
-}
-
-/// End-to-end tracing contract (needs `--features obs`): one fixed-seed
+/// End-to-end tracing contract: one fixed-seed
 /// invocation writes a Chrome trace, a run report, and a folded-stack file;
 /// the two JSON documents validate against the checked-in schemas, the
 /// report covers every level and pass of the multilevel run, and the trace
 /// *content* (timestamps stripped) is byte-identical across repeats and
 /// thread counts — folded frame structure included.
-#[cfg(feature = "obs")]
 #[test]
 fn trace_and_report_outputs_are_valid_and_deterministic() {
     use mlpart::obs::{json, schema, strip_folded, strip_timing};

@@ -41,10 +41,9 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// Kill the run partway through, resume it, and demand the partition (and,
-/// under `obs`, the report's normative content) match an uninterrupted
-/// run's bytes — at one and at four threads, resuming at a *different*
-/// thread count than the killed run used.
+/// Kill the run partway through, resume it, and demand the partition match
+/// an uninterrupted run's bytes — at one and at four threads, resuming at a
+/// *different* thread count than the killed run used.
 #[test]
 fn kill_mid_run_then_resume_is_byte_identical() {
     for &threads in &[1usize, 4] {
@@ -98,7 +97,6 @@ fn kill_mid_run_then_resume_is_byte_identical() {
 /// Same split, but with reports: the resumed report's normative content
 /// (trace, cuts, profile, metrics — everything but timing) must be
 /// indistinguishable from the uninterrupted run's.
-#[cfg(feature = "obs")]
 #[test]
 fn resumed_report_content_matches_uninterrupted() {
     let s = Scratch::new("report");
@@ -146,6 +144,49 @@ fn resumed_report_content_matches_uninterrupted() {
         "normative content diverged:\n{}",
         d.text
     );
+}
+
+/// On-disk compatibility: `tests/fixtures/checkpoint-v1-traced-balu.jsonl`
+/// was written by an earlier build of the binary, before the checkpoint
+/// codec moved onto `mlpart_obs::json` (a traced `syn-balu --runs 4
+/// --seed 3`, cut after its first two starts). Resuming it must reproduce
+/// an uninterrupted run's partition and profile-stripped report byte for
+/// byte.
+#[test]
+fn committed_checkpoint_resumes_byte_identically() {
+    let s = Scratch::new("fixture");
+    std::fs::copy(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/checkpoint-v1-traced-balu.jsonl"
+        ),
+        s.path("run.ckpt"),
+    )
+    .expect("copy fixture");
+    let common = ["syn-balu", "--runs", "4", "--seed", "3"];
+    let full = bin()
+        .args(common)
+        .args(["--output", &s.path("full.part")])
+        .args(["--report-out", &s.path("full.json")])
+        .output()
+        .expect("full run");
+    assert!(full.status.success(), "{}", stderr_of(&full));
+    let resumed = bin()
+        .args(common)
+        .args(["--checkpoint", &s.path("run.ckpt"), "--resume"])
+        .args(["--output", &s.path("resumed.part")])
+        .args(["--report-out", &s.path("resumed.json")])
+        .output()
+        .expect("resumed run");
+    let err = stderr_of(&resumed);
+    assert!(resumed.status.success(), "{err}");
+    assert!(err.contains("2 of 4 starts already done"), "{err}");
+    assert_eq!(read(&s.path("full.part")), read(&s.path("resumed.part")));
+    let stripped = |file: &str| {
+        let text = std::fs::read_to_string(s.path(file)).expect("report written");
+        mlpart::obs::strip_profile(&text)
+    };
+    assert_eq!(stripped("full.json"), stripped("resumed.json"));
 }
 
 /// A checkpoint from a different invocation (here: another seed) is
@@ -303,7 +344,7 @@ fn injected_imbalance_is_repaired() {
 }
 
 /// Repairs land in the run report's `repairs` array.
-#[cfg(all(feature = "fault", feature = "obs"))]
+#[cfg(feature = "fault")]
 #[test]
 fn repairs_are_reported() {
     let s = Scratch::new("repair-report");
