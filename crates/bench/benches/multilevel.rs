@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlpart_bench::algos;
 use mlpart_core::{Hierarchy, MlConfig};
-use mlpart_fm::{refine, refine_in, FmConfig, RefineWorkspace};
+use mlpart_fm::{refine, refine_budgeted_in, BudgetMeter, FmConfig, RefineWorkspace};
 use mlpart_gen::by_name;
 use mlpart_hypergraph::rng::seeded_rng;
 use mlpart_hypergraph::Partition;
@@ -69,7 +69,9 @@ fn bench_coarsening_phase(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 let mut rng = seeded_rng(seed);
-                Hierarchy::coarsen(&h, &cfg, &[], &mut rng).num_levels()
+                Hierarchy::try_coarsen(&h, &cfg, &[], &mut rng)
+                    .expect("valid netlist")
+                    .num_levels()
             });
         });
     }
@@ -88,7 +90,7 @@ fn bench_refine_workspace(c: &mut Criterion) {
     let h = by_name("primary1").expect("in suite").generate(1997);
     let ml_cfg = MlConfig::default().with_ratio(0.5);
     let mut rng = seeded_rng(7);
-    let hier = Hierarchy::coarsen(&h, &ml_cfg, &[], &mut rng);
+    let hier = Hierarchy::try_coarsen(&h, &ml_cfg, &[], &mut rng).expect("valid netlist");
     // Coarsest → finest, the order the V-cycle refines them.
     let levels: Vec<&mlpart_hypergraph::Hypergraph> = (1..=hier.num_levels())
         .rev()
@@ -124,7 +126,9 @@ fn bench_refine_workspace(c: &mut Criterion) {
             for _ in 0..V_CYCLES {
                 for lh in &levels {
                     let mut p = Partition::random(lh, 2, &mut rng);
-                    total += refine_in(lh, &mut p, &cfg, &mut rng, &mut ws).cut;
+                    let mut meter = BudgetMeter::unlimited();
+                    total +=
+                        refine_budgeted_in(lh, &mut p, &cfg, &mut rng, &mut ws, &mut meter).cut;
                 }
             }
             total
@@ -157,7 +161,9 @@ fn bench_refine_workspace(c: &mut Criterion) {
             let mut total = 0u64;
             for _ in 0..COARSE_CALLS {
                 let mut p = Partition::random(coarsest, 2, &mut rng);
-                total += refine_in(coarsest, &mut p, &cfg, &mut rng, &mut ws).cut;
+                let mut meter = BudgetMeter::unlimited();
+                total +=
+                    refine_budgeted_in(coarsest, &mut p, &cfg, &mut rng, &mut ws, &mut meter).cut;
             }
             total
         });

@@ -1,19 +1,21 @@
 //! One-call wrappers around every algorithm the tables compare, so each
 //! harness binary stays declarative.
 //!
-//! Every wrapper with an `_in` twin routes through the engines' `*_in`
-//! workspace-reuse entry points; results are bit-identical either way (the
-//! `*_in` contract), so the parallel runner can hand each worker thread one
-//! long-lived [`RefineWorkspace`] without changing any table number.
+//! Every wrapper with an `_in` twin routes through the engines'
+//! `*_budgeted_in` workspace-reuse entry points under an unlimited meter;
+//! results are bit-identical either way, so the parallel runner can hand
+//! each worker thread one long-lived [`RefineWorkspace`] without changing
+//! any table number.
 
 use mlpart_core::{
-    ml_bipartition_constrained_in, ml_bipartition_in, ml_kway_constrained_in, ml_kway_in,
-    recursive_ml_partition_budgeted_in, BudgetMeter, MlConfig, MlKwayConfig,
+    ml_bipartition_budgeted_in, ml_kway_budgeted_in, try_ml_bipartition_constrained_budgeted_in,
+    try_ml_kway_constrained_budgeted_in, try_recursive_ml_partition_budgeted_in, BudgetMeter,
+    MlConfig, MlKwayConfig,
 };
-use mlpart_fm::{fm_partition_in, BucketPolicy, Engine, FmConfig, RefineWorkspace};
+use mlpart_fm::{fm_partition_budgeted_in, BucketPolicy, Engine, FmConfig, RefineWorkspace};
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{Constraints, Hypergraph, ModuleId, PartId, Partition};
-use mlpart_kway::{kway_partition_in, KwayConfig};
+use mlpart_kway::{kway_partition_budgeted_in, KwayConfig};
 use mlpart_lsmc::{lsmc_bipartition, lsmc_kway, LsmcConfig, LsmcKwayConfig};
 use mlpart_place::{gordian_quadrisection, PlacerConfig};
 
@@ -33,7 +35,9 @@ pub fn fm_with_policy_in(
         policy,
         ..FmConfig::default()
     };
-    fm_partition_in(h, None, &cfg, rng, ws).1.cut
+    fm_partition_budgeted_in(h, None, &cfg, rng, ws, &mut BudgetMeter::unlimited())
+        .1
+        .cut
 }
 
 /// Flat FM (LIFO buckets); Table III baseline.
@@ -57,7 +61,9 @@ pub fn clip_in(h: &Hypergraph, rng: &mut MlRng, ws: &mut RefineWorkspace) -> u64
         engine: Engine::Clip,
         ..FmConfig::default()
     };
-    fm_partition_in(h, None, &cfg, rng, ws).1.cut
+    fm_partition_budgeted_in(h, None, &cfg, rng, ws, &mut BudgetMeter::unlimited())
+        .1
+        .cut
 }
 
 /// `ML_F` with matching ratio `r`.
@@ -67,7 +73,8 @@ pub fn ml_f(h: &Hypergraph, r: f64, rng: &mut MlRng) -> u64 {
 
 /// [`ml_f`] through a caller-owned workspace.
 pub fn ml_f_in(h: &Hypergraph, r: f64, rng: &mut MlRng, ws: &mut RefineWorkspace) -> u64 {
-    ml_bipartition_in(h, &MlConfig::fm().with_ratio(r), rng, ws)
+    let cfg = MlConfig::fm().with_ratio(r);
+    ml_bipartition_budgeted_in(h, &cfg, rng, ws, &mut BudgetMeter::unlimited())
         .1
         .cut
 }
@@ -79,7 +86,8 @@ pub fn ml_c(h: &Hypergraph, r: f64, rng: &mut MlRng) -> u64 {
 
 /// [`ml_c`] through a caller-owned workspace.
 pub fn ml_c_in(h: &Hypergraph, r: f64, rng: &mut MlRng, ws: &mut RefineWorkspace) -> u64 {
-    ml_bipartition_in(h, &MlConfig::clip().with_ratio(r), rng, ws)
+    let cfg = MlConfig::clip().with_ratio(r);
+    ml_bipartition_budgeted_in(h, &cfg, rng, ws, &mut BudgetMeter::unlimited())
         .1
         .cut
 }
@@ -102,7 +110,9 @@ pub fn fm4(h: &Hypergraph, rng: &mut MlRng) -> u64 {
 
 /// [`fm4`] through a caller-owned workspace.
 pub fn fm4_in(h: &Hypergraph, rng: &mut MlRng, ws: &mut RefineWorkspace) -> u64 {
-    kway_partition_in(h, 4, None, &[], &KwayConfig::default(), &mut *rng, ws)
+    let cfg = KwayConfig::default();
+    let mut meter = BudgetMeter::unlimited();
+    kway_partition_budgeted_in(h, 4, None, &[], &cfg, rng, ws, &mut meter)
         .1
         .cut
 }
@@ -120,7 +130,8 @@ pub fn clip4_in(h: &Hypergraph, rng: &mut MlRng, ws: &mut RefineWorkspace) -> u6
         gain: mlpart_kway::KwayGain::NetCut,
         ..KwayConfig::default()
     };
-    kway_partition_in(h, 4, None, &[], &cfg, &mut *rng, ws)
+    let mut meter = BudgetMeter::unlimited();
+    kway_partition_budgeted_in(h, 4, None, &[], &cfg, rng, ws, &mut meter)
         .1
         .cut
 }
@@ -160,7 +171,8 @@ pub fn ml4_in(
     rng: &mut MlRng,
     ws: &mut RefineWorkspace,
 ) -> u64 {
-    ml_kway_in(h, &MlKwayConfig::default(), fixed, rng, ws)
+    let cfg = MlKwayConfig::default();
+    ml_kway_budgeted_in(h, &cfg, fixed, rng, ws, &mut BudgetMeter::unlimited())
         .1
         .cut
 }
@@ -183,10 +195,18 @@ pub fn ml_c_constrained_in(
     rng: &mut MlRng,
     ws: &mut RefineWorkspace,
 ) -> u64 {
-    let cfg = MlConfig::clip()
-        .with_ratio(r)
-        .with_epsilon(constraints.epsilon());
-    let (p, result) = ml_bipartition_constrained_in(h, &cfg, constraints, rng, ws);
+    assert_eq!(constraints.k(), 2, "bipartition requires k = 2");
+    let (p, result) = try_ml_bipartition_constrained_budgeted_in(
+        h,
+        &MlConfig::clip().with_ratio(r),
+        constraints.fixed(),
+        h.total_area() / 2,
+        constraints.epsilon(),
+        rng,
+        ws,
+        &mut BudgetMeter::unlimited(),
+    )
+    .expect("valid constraints");
     assert_pins(&p, constraints);
     result.cut
 }
@@ -198,7 +218,11 @@ pub fn ml4_constrained_in(
     rng: &mut MlRng,
     ws: &mut RefineWorkspace,
 ) -> u64 {
-    let (p, result) = ml_kway_constrained_in(h, &MlKwayConfig::default(), constraints, rng, ws);
+    let cfg = MlKwayConfig::default();
+    let mut meter = BudgetMeter::unlimited();
+    let (p, result) =
+        try_ml_kway_constrained_budgeted_in(h, &cfg, constraints, rng, ws, &mut meter)
+            .expect("valid constraints");
     assert_pins(&p, constraints);
     result.cut
 }
@@ -212,18 +236,11 @@ pub fn ml_general_k_in(
     rng: &mut MlRng,
     ws: &mut RefineWorkspace,
 ) -> u64 {
-    let cfg = MlConfig::clip()
-        .with_ratio(r)
-        .with_k(constraints.k())
-        .with_epsilon(constraints.epsilon());
-    let (p, result) = recursive_ml_partition_budgeted_in(
-        h,
-        &cfg,
-        constraints,
-        rng,
-        ws,
-        &mut BudgetMeter::unlimited(),
-    );
+    let cfg = MlConfig::clip().with_ratio(r);
+    let mut meter = BudgetMeter::unlimited();
+    let (p, result) =
+        try_recursive_ml_partition_budgeted_in(h, &cfg, constraints, rng, ws, &mut meter)
+            .expect("valid constraints");
     assert_pins(&p, constraints);
     result.cut
 }

@@ -18,14 +18,26 @@
 
 use mlpart_bench::{report_shape_checks, run_many_par, with_report, HarnessArgs, ShapeCheck};
 use mlpart_core::{
-    ml_bipartition_in, ml_kway_in, recursive_ml_bisection_in, Coarsener, MlConfig, MlKwayConfig,
+    ml_bipartition_budgeted_in, ml_kway_budgeted_in, try_recursive_ml_bisection_budgeted_in,
+    BudgetMeter, Coarsener, MlConfig, MlKwayConfig, MlResult,
 };
-use mlpart_fm::FmConfig;
-use mlpart_hypergraph::rng::child_seed;
+use mlpart_fm::{FmConfig, RefineWorkspace};
+use mlpart_hypergraph::rng::{child_seed, MlRng};
 use mlpart_hypergraph::transform::{
     clique_expansion, hypergraph_cut_of_expanded, star_expansion, DEFAULT_WEIGHT_SCALE,
 };
+use mlpart_hypergraph::{Hypergraph, Partition};
 use mlpart_kway::{KwayConfig, KwayGain};
+
+/// One unbudgeted ML bipartition through the worker's workspace.
+fn ml2(
+    h: &Hypergraph,
+    cfg: &MlConfig,
+    rng: &mut MlRng,
+    ws: &mut RefineWorkspace,
+) -> (Partition, MlResult) {
+    ml_bipartition_budgeted_in(h, cfg, rng, ws, &mut BudgetMeter::unlimited())
+}
 
 fn main() {
     let args = HarnessArgs::from_env();
@@ -64,7 +76,7 @@ fn run(args: &HarnessArgs) -> bool {
                 args.runs,
                 child_seed(seed, lane),
                 args.threads,
-                |rng, ws| ml_bipartition_in(&h, &cfg, rng, ws).1.cut,
+                |rng, ws| ml2(&h, &cfg, rng, ws).1.cut,
             )
         };
         let base = MlConfig::clip();
@@ -188,7 +200,10 @@ fn run(args: &HarnessArgs) -> bool {
         let h = c.generate(args.seed);
         let seed = child_seed(args.seed, 900 + ci as u64);
         let a_sod = run_many_par(args.runs, child_seed(seed, 0), args.threads, |rng, ws| {
-            ml_kway_in(&h, &MlKwayConfig::default(), &[], rng, ws).1.cut
+            let cfg = MlKwayConfig::default();
+            ml_kway_budgeted_in(&h, &cfg, &[], rng, ws, &mut BudgetMeter::unlimited())
+                .1
+                .cut
         });
         let a_cut = run_many_par(args.runs, child_seed(seed, 1), args.threads, |rng, ws| {
             let cfg = MlKwayConfig {
@@ -198,10 +213,14 @@ fn run(args: &HarnessArgs) -> bool {
                 },
                 ..MlKwayConfig::default()
             };
-            ml_kway_in(&h, &cfg, &[], rng, ws).1.cut
+            ml_kway_budgeted_in(&h, &cfg, &[], rng, ws, &mut BudgetMeter::unlimited())
+                .1
+                .cut
         });
         let a_rec = run_many_par(args.runs, child_seed(seed, 2), args.threads, |rng, ws| {
-            recursive_ml_bisection_in(&h, 2, &MlConfig::default(), rng, ws)
+            let mut meter = BudgetMeter::unlimited();
+            try_recursive_ml_bisection_budgeted_in(&h, 2, &MlConfig::default(), rng, ws, &mut meter)
+                .expect("valid netlist")
                 .1
                 .cut
         });
@@ -224,17 +243,17 @@ fn run(args: &HarnessArgs) -> bool {
         let h = c.generate(args.seed);
         let seed = child_seed(args.seed, 1_200 + ci as u64);
         let a_direct = run_many_par(args.runs, child_seed(seed, 0), args.threads, |rng, ws| {
-            ml_bipartition_in(&h, &MlConfig::clip(), rng, ws).1.cut
+            ml2(&h, &MlConfig::clip(), rng, ws).1.cut
         });
         let clique = clique_expansion(&h, DEFAULT_WEIGHT_SCALE, 50).expect("expansion fits u32");
         let a_clique = run_many_par(args.runs, child_seed(seed, 1), args.threads, |rng, ws| {
-            let (p, _) = ml_bipartition_in(&clique, &MlConfig::clip(), rng, ws);
+            let (p, _) = ml2(&clique, &MlConfig::clip(), rng, ws);
             hypergraph_cut_of_expanded(&h, p.assignment(), 2).expect("assignment covers h")
         });
         let (star, _original) =
             star_expansion(&h, DEFAULT_WEIGHT_SCALE, 200).expect("expansion fits u32");
         let a_star = run_many_par(args.runs, child_seed(seed, 2), args.threads, |rng, ws| {
-            let (p, _) = ml_bipartition_in(&star, &MlConfig::clip(), rng, ws);
+            let (p, _) = ml2(&star, &MlConfig::clip(), rng, ws);
             hypergraph_cut_of_expanded(&h, p.assignment(), 2).expect("assignment covers h")
         });
         println!(

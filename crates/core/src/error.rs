@@ -2,9 +2,12 @@
 //!
 //! Every `try_*` driver returns [`PipelineError`] instead of panicking, so
 //! harnesses feeding parsed benchmarks can report bad inputs as values. The
-//! legacy panicking entry points remain as thin wrappers that funnel through
-//! [`expect_valid`] — the single deliberate panic site of this crate, kept on
-//! the analyzer's ratchet.
+//! four panicking forms ([`ml_bipartition`](crate::ml_bipartition),
+//! [`ml_bipartition_budgeted_in`](crate::ml_bipartition_budgeted_in),
+//! [`ml_kway`](crate::ml_kway) and
+//! [`ml_kway_budgeted_in`](crate::ml_kway_budgeted_in)) unwrap their `try_*`
+//! root through one private funnel — the single deliberate panic site of
+//! this crate, kept on the analyzer's ratchet.
 
 use std::error::Error as StdError;
 use std::fmt;
@@ -15,8 +18,8 @@ use mlpart_hypergraph::{BuildHypergraphError, ConstraintsError};
 /// Why a pipeline driver rejected its inputs (or an internal stage failed).
 ///
 /// Display strings deliberately contain the historical panic phrases (e.g.
-/// "bipartition requires k = 2") so `should_panic` expectations written
-/// against the legacy wrappers keep matching through [`expect_valid`].
+/// "two-phase FM requires k = 2"), so a panicking form's message names the
+/// broken rule the way the old assertions did.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum PipelineError {
@@ -138,12 +141,12 @@ impl From<BuildHypergraphError> for PipelineError {
     }
 }
 
-/// Unwraps a pipeline result for the legacy panicking entry points.
+/// Unwraps a pipeline result for the panicking entry points.
 ///
-/// This is the one sanctioned panic site of `mlpart-core`: every historical
-/// `assert!`/`expect` precondition now produces a [`PipelineError`] (or a
-/// [`CoarsenError`]) in the `try_*` drivers, and the legacy names funnel
-/// through here so the panic message carries the typed error's Display text.
+/// This is the one sanctioned panic site of `mlpart-core`: every input
+/// precondition produces a [`PipelineError`] (or a [`CoarsenError`]) in the
+/// `try_*` drivers, and the panicking forms funnel through here so the panic
+/// message carries the typed error's Display text.
 #[track_caller]
 pub(crate) fn expect_valid<T, E: fmt::Display>(r: Result<T, E>) -> T {
     match r {

@@ -54,7 +54,7 @@ impl std::fmt::Display for Coarsener {
 /// let h = b.build()?;
 /// let cfg = MlConfig { coarsen_threshold: 10, ..MlConfig::default() };
 /// let mut rng = seeded_rng(0);
-/// let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+/// let hier = Hierarchy::try_coarsen(&h, &cfg, &[], &mut rng)?;
 /// assert!(hier.coarsest(&h).num_modules() <= 10);
 /// assert!(hier.num_levels() >= 2);
 /// # Ok(())
@@ -68,6 +68,87 @@ pub struct Hierarchy {
     coarse: Vec<Hypergraph>,
     /// Fixed (pre-assigned) modules at each level, `fixed[0]` being on `H₀`.
     fixed: Vec<Vec<(ModuleId, PartId)>>,
+}
+
+/// How coarsening treats fixed (pre-assigned) modules — the one place the
+/// paper's drivers and the constraint-aware drivers coarsen differently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PinPolicy {
+    /// §III-C pad pre-assignment: every fixed module stays a singleton
+    /// cluster on every level, so coarse fixed lists keep one entry per
+    /// input pin.
+    Frozen,
+    /// `Match` may merge two fixed modules pre-assigned to the **same**
+    /// part (free–free pairs merge as always; fixed–free and cross-part
+    /// pairs never do), so heavily pinned netlists still coarsen. Coarse
+    /// fixed lists are deduplicated per cluster and sorted by coarse module
+    /// id. With no fixed modules this is [`PinPolicy::Frozen`].
+    SamePart,
+}
+
+impl PinPolicy {
+    /// The effective policy for a pin set: `SamePart` without pins
+    /// coarsens exactly like `Frozen` (same RNG stream, same trace).
+    fn for_pins(self, fixed: &[(ModuleId, PartId)]) -> PinPolicy {
+        if fixed.is_empty() {
+            PinPolicy::Frozen
+        } else {
+            self
+        }
+    }
+
+    /// One clustering pass over `h` honoring `fixed` under this policy.
+    pub(crate) fn cluster<R: Rng + ?Sized>(
+        self,
+        h: &Hypergraph,
+        match_cfg: &MatchConfig,
+        coarsener: Coarsener,
+        fixed: &[(ModuleId, PartId)],
+        rng: &mut R,
+        scratch: &mut MatchScratch,
+    ) -> Clustering {
+        assert!(
+            fixed.is_empty() || coarsener == Coarsener::PaperMatch,
+            "fixed modules require the PaperMatch coarsener"
+        );
+        match (self.for_pins(fixed), coarsener) {
+            (PinPolicy::SamePart, _) => {
+                let mut seed: Vec<Option<PartId>> = vec![None; h.num_modules()];
+                for &(v, p) in fixed {
+                    seed[v.index()] = Some(p);
+                }
+                match_clusters_parts_in(h, match_cfg, Some(seed.as_slice()), rng, scratch)
+            }
+            (PinPolicy::Frozen, Coarsener::PaperMatch) => {
+                let mask = fixed_mask(fixed, h.num_modules());
+                let frozen = (!mask.is_empty()).then_some(mask.as_slice());
+                match_clusters_frozen_in(h, match_cfg, frozen, rng, scratch)
+            }
+            (PinPolicy::Frozen, Coarsener::RandomMatching) => random_matching(h, rng),
+            (PinPolicy::Frozen, Coarsener::HeavyEdge) => heavy_edge_matching(h, rng),
+        }
+    }
+
+    /// The fixed list of the coarse level induced by `clustering`.
+    pub(crate) fn carry(
+        self,
+        fixed: &[(ModuleId, PartId)],
+        clustering: &Clustering,
+    ) -> Vec<(ModuleId, PartId)> {
+        let mut next: Vec<(ModuleId, PartId)> = fixed
+            .iter()
+            .map(|&(v, p)| (ModuleId::new(clustering.cluster_of(v) as usize), p))
+            .collect();
+        if self == PinPolicy::SamePart {
+            // Same-part pins may now share a cluster; keep one entry each.
+            next.sort_unstable_by_key(|&(v, _)| v.index());
+            next.dedup_by(|a, b| {
+                debug_assert!(a.0 != b.0 || a.1 == b.1, "cross-part pins merged");
+                a.0 == b.0
+            });
+        }
+        next
+    }
 }
 
 impl Hierarchy {
@@ -85,31 +166,33 @@ impl Hierarchy {
     /// `fixed` lists pre-assigned modules of `H₀`; they are kept as singleton
     /// clusters on every level (§III-C pad pre-assignment).
     ///
-    /// # Panics
-    ///
-    /// Panics if a coarse netlist fails validation (see
-    /// [`Hierarchy::try_coarsen`] for the non-panicking form).
-    pub fn coarsen<R: Rng + ?Sized>(
-        h0: &Hypergraph,
-        cfg: &crate::MlConfig,
-        fixed: &[(ModuleId, PartId)],
-        rng: &mut R,
-    ) -> Self {
-        crate::error::expect_valid(Self::try_coarsen(h0, cfg, fixed, rng))
-    }
-
-    /// [`Hierarchy::coarsen`] returning a typed error instead of panicking.
-    ///
     /// # Errors
     ///
     /// [`CoarsenError`] when inducing a coarse level fails (e.g. coalesced
     /// net weights overflow `u32`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if fixed modules are combined with a baseline coarsener (a
+    /// static configuration bug, not an input property).
     pub fn try_coarsen<R: Rng + ?Sized>(
         h0: &Hypergraph,
         cfg: &crate::MlConfig,
         fixed: &[(ModuleId, PartId)],
         rng: &mut R,
     ) -> Result<Self, CoarsenError> {
+        Self::coarsen_with(h0, cfg, fixed, PinPolicy::Frozen, rng)
+    }
+
+    /// The coarsening loop under an explicit [`PinPolicy`].
+    pub(crate) fn coarsen_with<R: Rng + ?Sized>(
+        h0: &Hypergraph,
+        cfg: &crate::MlConfig,
+        fixed: &[(ModuleId, PartId)],
+        pins: PinPolicy,
+        rng: &mut R,
+    ) -> Result<Self, CoarsenError> {
+        let pins = pins.for_pins(fixed);
         let match_cfg = MatchConfig::with_ratio(cfg.matching_ratio);
         // One scratch serves every `Match` pass: levels shrink, so the
         // level-0 buffers are never reallocated further down the hierarchy.
@@ -124,53 +207,39 @@ impl Hierarchy {
         let mut owned_current: Option<Hypergraph> = None;
         let mut current_fixed: Vec<(ModuleId, PartId)> = fixed.to_vec();
 
-        let _obs_span = mlpart_obs::span(
-            "coarsen",
-            &[
-                ("modules", h0.num_modules().into()),
-                ("threshold", cfg.coarsen_threshold.into()),
-                ("ratio", cfg.matching_ratio.into()),
-            ],
-        );
+        let _obs_span = match pins {
+            PinPolicy::Frozen => mlpart_obs::span(
+                "coarsen",
+                &[
+                    ("modules", h0.num_modules().into()),
+                    ("threshold", cfg.coarsen_threshold.into()),
+                    ("ratio", cfg.matching_ratio.into()),
+                ],
+            ),
+            PinPolicy::SamePart => mlpart_obs::span(
+                "coarsen_parts",
+                &[
+                    ("modules", h0.num_modules().into()),
+                    ("fixed", fixed.len().into()),
+                    ("threshold", cfg.coarsen_threshold.into()),
+                    ("ratio", cfg.matching_ratio.into()),
+                ],
+            ),
+        };
         loop {
             let current: &Hypergraph = owned_current.as_ref().unwrap_or(h0);
             if current.num_modules() <= cfg.coarsen_threshold || clusterings.len() >= cfg.max_levels
             {
                 break;
             }
-            let level_fixed = &current_fixed;
-            let frozen_mask: Option<Vec<bool>> = if level_fixed.is_empty() {
-                None
-            } else {
-                let mut mask = vec![false; current.num_modules()];
-                for &(v, _) in level_fixed {
-                    mask[v.index()] = true;
-                }
-                Some(mask)
-            };
-            let clustering = match cfg.coarsener {
-                Coarsener::PaperMatch => match_clusters_frozen_in(
-                    current,
-                    &match_cfg,
-                    frozen_mask.as_deref(),
-                    rng,
-                    &mut scratch,
-                ),
-                Coarsener::RandomMatching => {
-                    assert!(
-                        frozen_mask.is_none(),
-                        "fixed modules require the PaperMatch coarsener"
-                    );
-                    random_matching(current, rng)
-                }
-                Coarsener::HeavyEdge => {
-                    assert!(
-                        frozen_mask.is_none(),
-                        "fixed modules require the PaperMatch coarsener"
-                    );
-                    heavy_edge_matching(current, rng)
-                }
-            };
+            let clustering = pins.cluster(
+                current,
+                &match_cfg,
+                cfg.coarsener,
+                &current_fixed,
+                rng,
+                &mut scratch,
+            );
             // A matching with ratio R shrinks by the factor 1 − R/2 when it
             // succeeds; stop once the realized shrink is closer to "no
             // progress" than to that promise (baseline coarseners behave
@@ -199,137 +268,7 @@ impl Hierarchy {
             } else {
                 induce(current, &clustering)?
             };
-            let next_fixed: Vec<(ModuleId, PartId)> = level_fixed
-                .iter()
-                .map(|&(v, p)| (ModuleId::new(clustering.cluster_of(v) as usize), p))
-                .collect();
-            clusterings.push(clustering);
-            if let Some(prev) = owned_current.take() {
-                coarse.push(prev);
-            }
-            fixed_levels.push(std::mem::replace(&mut current_fixed, next_fixed));
-            owned_current = Some(next);
-        }
-        if let Some(last) = owned_current {
-            coarse.push(last);
-        }
-        fixed_levels.push(current_fixed);
-        Ok(Hierarchy {
-            clusterings,
-            coarse,
-            fixed: fixed_levels,
-        })
-    }
-
-    /// [`Hierarchy::coarsen`] for the constraint-aware pipelines: instead of
-    /// freezing every fixed module as a singleton, `Match` may merge two
-    /// fixed modules pre-assigned to the **same** part (free–free pairs
-    /// merge as always; fixed–free and cross-part pairs never do), so
-    /// heavily pinned netlists still coarsen. Coarse fixed lists are
-    /// deduplicated per cluster — a cluster of same-part pins appears once —
-    /// and stay sorted by coarse module id, keeping every downstream loop
-    /// over them deterministic. With no fixed modules this is byte-identical
-    /// to [`Hierarchy::coarsen`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if fixed modules are combined with a baseline coarsener or a
-    /// coarse netlist fails validation (see
-    /// [`Hierarchy::try_coarsen_parts`] for the non-panicking form).
-    pub fn coarsen_parts<R: Rng + ?Sized>(
-        h0: &Hypergraph,
-        cfg: &crate::MlConfig,
-        fixed: &[(ModuleId, PartId)],
-        rng: &mut R,
-    ) -> Self {
-        crate::error::expect_valid(Self::try_coarsen_parts(h0, cfg, fixed, rng))
-    }
-
-    /// [`Hierarchy::coarsen_parts`] returning a typed error instead of
-    /// panicking on induction failures. The baseline-coarsener restriction
-    /// stays a panic: it is a static configuration bug, not an input
-    /// property.
-    ///
-    /// # Errors
-    ///
-    /// [`CoarsenError`] when inducing a coarse level fails.
-    pub fn try_coarsen_parts<R: Rng + ?Sized>(
-        h0: &Hypergraph,
-        cfg: &crate::MlConfig,
-        fixed: &[(ModuleId, PartId)],
-        rng: &mut R,
-    ) -> Result<Self, CoarsenError> {
-        if fixed.is_empty() {
-            return Hierarchy::try_coarsen(h0, cfg, fixed, rng);
-        }
-        assert!(
-            cfg.coarsener == Coarsener::PaperMatch,
-            "fixed modules require the PaperMatch coarsener"
-        );
-        let match_cfg = MatchConfig::with_ratio(cfg.matching_ratio);
-        let mut scratch = MatchScratch::new();
-        let mut clusterings = Vec::new();
-        let mut coarse: Vec<Hypergraph> = Vec::new();
-        let mut fixed_levels: Vec<Vec<(ModuleId, PartId)>> = Vec::new();
-        let mut owned_current: Option<Hypergraph> = None;
-        let mut current_fixed: Vec<(ModuleId, PartId)> = fixed.to_vec();
-
-        let _obs_span = mlpart_obs::span(
-            "coarsen_parts",
-            &[
-                ("modules", h0.num_modules().into()),
-                ("fixed", fixed.len().into()),
-                ("threshold", cfg.coarsen_threshold.into()),
-                ("ratio", cfg.matching_ratio.into()),
-            ],
-        );
-        loop {
-            let current: &Hypergraph = owned_current.as_ref().unwrap_or(h0);
-            if current.num_modules() <= cfg.coarsen_threshold || clusterings.len() >= cfg.max_levels
-            {
-                break;
-            }
-            let level_fixed = &current_fixed;
-            let mut seed: Vec<Option<PartId>> = vec![None; current.num_modules()];
-            for &(v, p) in level_fixed {
-                seed[v.index()] = Some(p);
-            }
-            let clustering = match_clusters_parts_in(
-                current,
-                &match_cfg,
-                Some(seed.as_slice()),
-                rng,
-                &mut scratch,
-            );
-            let guard = 1.0 - cfg.matching_ratio / 4.0;
-            let stalled = clustering.num_clusters() as f64 > guard * current.num_modules() as f64;
-            mlpart_obs::counter(
-                "coarsen_level",
-                &[
-                    ("level", clusterings.len().into()),
-                    ("modules", current.num_modules().into()),
-                    ("clusters", clustering.num_clusters().into()),
-                    ("stalled", u64::from(stalled).into()),
-                ],
-            );
-            if stalled {
-                break; // matching stalled: treat this level as coarsest
-            }
-            let next = if cfg.coalesce_nets {
-                induce_coalesced(current, &clustering)?
-            } else {
-                induce(current, &clustering)?
-            };
-            let mut next_fixed: Vec<(ModuleId, PartId)> = level_fixed
-                .iter()
-                .map(|&(v, p)| (ModuleId::new(clustering.cluster_of(v) as usize), p))
-                .collect();
-            // Same-part pins may now share a cluster; keep one entry each.
-            next_fixed.sort_unstable_by_key(|&(v, _)| v.index());
-            next_fixed.dedup_by(|a, b| {
-                debug_assert!(a.0 != b.0 || a.1 == b.1, "cross-part pins merged");
-                a.0 == b.0
-            });
+            let next_fixed = pins.carry(&current_fixed, &clustering);
             clusterings.push(clustering);
             if let Some(prev) = owned_current.take() {
                 coarse.push(prev);
@@ -394,9 +333,12 @@ impl Hierarchy {
     }
 }
 
-/// Dense `module → fixed?` mask over `n` modules, shared by the
-/// constraint-aware pipelines.
+/// Dense `module → fixed?` mask over `n` modules; empty when nothing is
+/// fixed (the refiners read an empty mask as "no fixed modules").
 pub(crate) fn fixed_mask(fixed: &[(ModuleId, PartId)], n: usize) -> Vec<bool> {
+    if fixed.is_empty() {
+        return Vec::new();
+    }
     let mut mask = vec![false; n];
     for &(v, _) in fixed {
         mask[v.index()] = true;
@@ -435,7 +377,7 @@ mod tests {
             ..MlConfig::default()
         };
         let mut rng = seeded_rng(1);
-        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+        let hier = Hierarchy::try_coarsen(&h, &cfg, &[], &mut rng).unwrap();
         assert!(hier.coarsest(&h).num_modules() <= 35);
         assert!(hier.num_levels() >= 3);
         // Every level preserves total area.
@@ -454,7 +396,9 @@ mod tests {
                 matching_ratio: ratio,
                 ..MlConfig::default()
             };
-            Hierarchy::coarsen(&h, &cfg, &[], rng).num_levels()
+            Hierarchy::try_coarsen(&h, &cfg, &[], rng)
+                .unwrap()
+                .num_levels()
         };
         let l_full = levels_at(1.0, &mut rng);
         let l_half = levels_at(0.5, &mut rng);
@@ -471,7 +415,7 @@ mod tests {
             ..MlConfig::default()
         };
         let mut rng = seeded_rng(3);
-        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+        let hier = Hierarchy::try_coarsen(&h, &cfg, &[], &mut rng).unwrap();
         let sizes = hier.level_sizes(&h);
         assert!(sizes.windows(2).all(|w| w[1] < w[0]), "{sizes:?}");
     }
@@ -484,7 +428,7 @@ mod tests {
             ..MlConfig::default()
         };
         let mut rng = seeded_rng(0);
-        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+        let hier = Hierarchy::try_coarsen(&h, &cfg, &[], &mut rng).unwrap();
         assert_eq!(hier.num_levels(), 0);
         assert_eq!(hier.coarsest(&h).num_modules(), 9);
     }
@@ -498,7 +442,7 @@ mod tests {
             ..MlConfig::default()
         };
         let mut rng = seeded_rng(0);
-        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+        let hier = Hierarchy::try_coarsen(&h, &cfg, &[], &mut rng).unwrap();
         assert_eq!(hier.num_levels(), 0);
     }
 
@@ -511,12 +455,12 @@ mod tests {
             ..MlConfig::default()
         };
         let mut rng = seeded_rng(0);
-        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+        let hier = Hierarchy::try_coarsen(&h, &cfg, &[], &mut rng).unwrap();
         assert_eq!(hier.num_levels(), 3);
     }
 
     #[test]
-    fn coarsen_parts_merges_same_part_pins_and_dedups() {
+    fn same_part_policy_merges_same_part_pins_and_dedups() {
         let h = grid(8, 8);
         let cfg = MlConfig {
             coarsen_threshold: 8,
@@ -528,7 +472,8 @@ mod tests {
         let mut fixed: Vec<(ModuleId, u32)> = (0..8).map(|x| (ModuleId::new(x), 0u32)).collect();
         fixed.push((ModuleId::new(63), 1));
         let mut rng = seeded_rng(5);
-        let hier = Hierarchy::coarsen_parts(&h, &cfg, &fixed, &mut rng);
+        let hier =
+            Hierarchy::coarsen_with(&h, &cfg, &fixed, PinPolicy::SamePart, &mut rng).unwrap();
         assert!(hier.coarsest(&h).num_modules() <= 8);
         for i in 0..=hier.num_levels() {
             let level_fixed = hier.fixed_at(i);
@@ -545,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn coarsen_parts_without_pins_matches_plain_coarsen() {
+    fn same_part_policy_without_pins_matches_frozen() {
         let h = grid(12, 12);
         let cfg = MlConfig {
             coarsen_threshold: 20,
@@ -553,8 +498,8 @@ mod tests {
         };
         let mut rng1 = seeded_rng(9);
         let mut rng2 = seeded_rng(9);
-        let a = Hierarchy::coarsen(&h, &cfg, &[], &mut rng1);
-        let b = Hierarchy::coarsen_parts(&h, &cfg, &[], &mut rng2);
+        let a = Hierarchy::try_coarsen(&h, &cfg, &[], &mut rng1).unwrap();
+        let b = Hierarchy::coarsen_with(&h, &cfg, &[], PinPolicy::SamePart, &mut rng2).unwrap();
         assert_eq!(a.num_levels(), b.num_levels());
         for i in 0..a.num_levels() {
             assert_eq!(a.clustering(i).as_map(), b.clustering(i).as_map());
@@ -570,7 +515,7 @@ mod tests {
         };
         let fixed = vec![(ModuleId::new(0), 1u32), (ModuleId::new(63), 2u32)];
         let mut rng = seeded_rng(4);
-        let hier = Hierarchy::coarsen(&h, &cfg, &fixed, &mut rng);
+        let hier = Hierarchy::try_coarsen(&h, &cfg, &fixed, &mut rng).unwrap();
         for i in 0..hier.num_levels() {
             let c = hier.clustering(i);
             for &(v, part) in hier.fixed_at(i) {

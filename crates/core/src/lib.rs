@@ -5,8 +5,13 @@
 //! ML recursively coarsens a netlist hypergraph with connectivity-based
 //! matching (controlled by the matching ratio `R`), partitions the coarsest
 //! netlist, then uncoarsens while refining with FM or CLIP. See
-//! [`ml_bipartition`] (Fig. 2 of the paper) and [`ml_kway`] /
-//! [`ml_quadrisection`] (§III-C).
+//! [`ml_bipartition`] (Fig. 2 of the paper) and [`ml_kway`] (§III-C).
+//!
+//! Every driver is one body parameterized by its refiner (2-way FM/CLIP or
+//! Sanchis k-way) and its schedule: the paper's ratio windows, or the
+//! constraint-aware ε windows with fixed modules. Each pipeline has one
+//! fallible root, `try_*_budgeted_in`, taking caller-owned scratch and a
+//! budget meter.
 //!
 //! # Examples
 //!
@@ -47,32 +52,24 @@ pub mod preflight;
 pub mod quadrisection;
 pub mod recursive;
 pub mod two_phase;
+mod vcycle;
 
 pub use error::PipelineError;
 pub use hierarchy::{Coarsener, Hierarchy};
 pub use ml::{
-    ml_best_of_in, ml_bipartition, ml_bipartition_budgeted_in, ml_bipartition_constrained,
-    ml_bipartition_constrained_budgeted_in, ml_bipartition_constrained_in, ml_bipartition_in,
-    try_ml_best_of_in, try_ml_bipartition_budgeted_in, try_ml_bipartition_constrained_budgeted_in,
-    LevelStats, MlConfig, MlResult,
+    ml_bipartition, ml_bipartition_budgeted_in, try_ml_bipartition_budgeted_in,
+    try_ml_bipartition_constrained_budgeted_in, LevelStats, MlConfig, MlResult,
 };
 pub use preflight::{preflight, preflight_constrained, PreflightError};
 pub use quadrisection::{
-    ml_kway, ml_kway_best_of_in, ml_kway_budgeted_in, ml_kway_constrained,
-    ml_kway_constrained_budgeted_in, ml_kway_constrained_in, ml_kway_in, ml_quadrisection,
-    try_ml_kway_best_of_in, try_ml_kway_budgeted_in, try_ml_kway_constrained_budgeted_in,
+    ml_kway, ml_kway_budgeted_in, try_ml_kway_budgeted_in, try_ml_kway_constrained_budgeted_in,
     MlKwayConfig, MlKwayResult,
 };
 pub use recursive::{
-    recursive_ml_bisection, recursive_ml_bisection_budgeted_in, recursive_ml_bisection_in,
-    recursive_ml_partition, recursive_ml_partition_budgeted_in,
-    try_recursive_ml_bisection_budgeted_in, try_recursive_ml_partition_budgeted_in,
-    RecursiveResult,
+    try_recursive_ml_bisection_budgeted_in, try_recursive_ml_partition_budgeted_in, RecursiveResult,
 };
 pub use two_phase::{
-    try_two_phase_fm_budgeted_in, try_two_phase_fm_constrained_budgeted_in, two_phase_fm,
-    two_phase_fm_budgeted_in, two_phase_fm_constrained, two_phase_fm_constrained_budgeted_in,
-    two_phase_fm_constrained_in, two_phase_fm_in, TwoPhaseResult,
+    try_two_phase_fm_budgeted_in, try_two_phase_fm_constrained_budgeted_in, TwoPhaseResult,
 };
 
 // Re-export the budget vocabulary so pipeline callers need not depend on

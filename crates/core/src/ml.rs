@@ -18,18 +18,11 @@
 //! the larger side, which happens between steps 8 and 9.
 
 use crate::error::{expect_valid, PipelineError};
-use crate::hierarchy::{fixed_mask, Hierarchy};
-use mlpart_cluster::{project, rebalance_bipart};
-use mlpart_fm::{
-    fm_partition_budgeted_in, refine_budgeted_in, refine_constrained_budgeted_in, BudgetMeter,
-    Engine, FmConfig, PassStats, RefineWorkspace, Truncation,
-};
-use mlpart_hypergraph::rng::{child_seed, seeded_rng, MlRng};
-use mlpart_hypergraph::{
-    metrics, BipartBalance, Constraints, Hypergraph, ModuleId, PartBounds, PartId, Partition,
-    DEFAULT_EPSILON,
-};
-use mlpart_kway::rebalance_to_bounds;
+use crate::hierarchy::Hierarchy;
+use crate::vcycle::{self, check_fixed, Mode, Ratio, Refiner, Windows};
+use mlpart_fm::{BudgetMeter, Engine, FmConfig, PassStats, RefineWorkspace, Truncation};
+use mlpart_hypergraph::rng::MlRng;
+use mlpart_hypergraph::{metrics, Hypergraph, ModuleId, PartBounds, PartId, Partition};
 
 /// Per-level instrumentation of a multilevel run, collected during
 /// uncoarsening (and for the coarsest-level initial partitioning).
@@ -143,17 +136,6 @@ pub struct MlConfig {
     /// more CPU time partitioning at these levels, e.g., by calling FM
     /// multiple times"). `1` reproduces the paper's algorithm.
     pub initial_tries: usize,
-    /// Number of parts `k` for the constraint-generic drivers
-    /// ([`recursive_ml_partition`](crate::recursive_ml_partition) and the
-    /// CLI). The classic entry points ([`ml_bipartition`]) are 2-way by
-    /// construction and ignore this field.
-    pub k: u32,
-    /// Balance tolerance ε for the constraint-generic drivers: each part
-    /// stays within `(1 ± ε)·A(V)/k`. The default ε = 0.2 equals `2r` for
-    /// the paper's `r = 0.1`, so constraint-aware runs reproduce the legacy
-    /// `fm.balance_r` windows. The classic entry points keep reading
-    /// `fm.balance_r` and ignore this field.
-    pub epsilon: f64,
 }
 
 impl Default for MlConfig {
@@ -166,8 +148,6 @@ impl Default for MlConfig {
             coarsener: crate::hierarchy::Coarsener::PaperMatch,
             coalesce_nets: false,
             initial_tries: 1,
-            k: 2,
-            epsilon: DEFAULT_EPSILON,
         }
     }
 }
@@ -200,20 +180,6 @@ impl MlConfig {
         self.coarsen_threshold = t;
         self
     }
-
-    /// Returns a copy with the given part count `k` (constraint-generic
-    /// drivers only).
-    pub fn with_k(mut self, k: u32) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Returns a copy with the given balance tolerance ε (constraint-generic
-    /// drivers only).
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
-        self
-    }
 }
 
 /// Statistics from one ML run.
@@ -243,6 +209,11 @@ pub struct MlResult {
 ///
 /// Returns the refined bipartition `P₀` of `h` and run statistics.
 ///
+/// # Panics
+///
+/// Panics if a coarse level fails validation; see
+/// [`try_ml_bipartition_budgeted_in`] for the fallible form.
+///
 /// # Examples
 ///
 /// ```
@@ -268,32 +239,18 @@ pub struct MlResult {
 /// # }
 /// ```
 pub fn ml_bipartition(h: &Hypergraph, cfg: &MlConfig, rng: &mut MlRng) -> (Partition, MlResult) {
-    let mut ws = RefineWorkspace::new();
-    ml_bipartition_in(h, cfg, rng, &mut ws)
+    ml_bipartition_budgeted_in(
+        h,
+        cfg,
+        rng,
+        &mut RefineWorkspace::new(),
+        &mut BudgetMeter::unlimited(),
+    )
 }
 
-/// [`ml_bipartition`] with caller-owned scratch: every level of the V-cycle
-/// (initial tries included) refines through the same [`RefineWorkspace`], so
-/// the gain/bucket machinery is allocated once per run instead of once per
-/// level. Results are bit-identical to [`ml_bipartition`].
-pub fn ml_bipartition_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> (Partition, MlResult) {
-    ml_bipartition_budgeted_in(h, cfg, rng, ws, &mut BudgetMeter::unlimited())
-}
-
-/// [`ml_bipartition_in`] under a cooperative execution budget.
-///
-/// The meter is consulted at every pass and level boundary; once a limit
-/// fires the remaining refinement is skipped, but projection and §III-B
-/// rebalancing still run at every level, so the returned partition is always
-/// a valid, feasible bipartition of `h` — the best solution reachable within
-/// the budget. The truncation (if any) is recorded in
-/// [`MlResult::truncation`]. With an unlimited meter this is bit-identical
-/// to [`ml_bipartition_in`].
+/// [`ml_bipartition`] with caller-owned scratch and a cooperative budget;
+/// panics where [`try_ml_bipartition_budgeted_in`] returns an error. Kept
+/// because the benchmark harness (`perfbench/src/drive.rs`) drives it.
 pub fn ml_bipartition_budgeted_in(
     h: &Hypergraph,
     cfg: &MlConfig,
@@ -304,9 +261,16 @@ pub fn ml_bipartition_budgeted_in(
     expect_valid(try_ml_bipartition_budgeted_in(h, cfg, rng, ws, meter))
 }
 
-/// [`ml_bipartition_budgeted_in`] returning a typed error instead of
-/// panicking — the non-panicking root of the classic bipartition entry
-/// points.
+/// The paper's ML bipartitioning (Fig. 2) with §III-B balance windows from
+/// `cfg.fm.balance_r`, under a cooperative execution budget.
+///
+/// Every level of the V-cycle (initial tries included) refines through
+/// `ws`, so the gain/bucket machinery is allocated once per run. The meter
+/// is consulted at every pass and level boundary; once a limit fires the
+/// remaining refinement is skipped, but projection and §III-B rebalancing
+/// still run at every level, so the returned partition is always a valid,
+/// feasible bipartition of `h`. The truncation (if any) is recorded in
+/// [`MlResult::truncation`].
 ///
 /// # Errors
 ///
@@ -320,12 +284,87 @@ pub fn try_ml_bipartition_budgeted_in(
     meter: &mut BudgetMeter,
 ) -> Result<(Partition, MlResult), PipelineError> {
     let _obs_run = mlpart_obs::span("ml_bipartition", &[("modules", h.num_modules().into())]);
-    // --- Coarsening phase (steps 1-5). ---
-    let hierarchy = Hierarchy::try_coarsen(h, cfg, &[], rng)?;
-    let m = hierarchy.num_levels();
+    let mode = Ratio {
+        k: 2,
+        r: cfg.fm.balance_r,
+    };
+    bipartition(h, cfg, &mode, &[], rng, ws, meter)
+}
 
-    // --- Initial partitioning of Hₘ (step 6). ---
+/// Constraint-aware ML bisection: pins, an explicit area target for side 0
+/// (side 1 gets the rest), a tolerance ε, and a budget.
+///
+/// Fixed modules are threaded through every phase: coarsening merges only
+/// same-part pins, the initial partition seeds them on their pinned parts,
+/// and refinement/rebalancing never move them. Per-level bounds recompute
+/// around the targets with each level's max module area (the §III-B
+/// widening), so coarse levels are never over-constrained. Asymmetric
+/// targets let [`try_recursive_ml_partition_budgeted_in`](crate::try_recursive_ml_partition_budgeted_in)
+/// carve `⌈k/2⌉ : ⌊k/2⌋` area shares. Without pins and at ε = 0.2 the
+/// windows equal [`try_ml_bipartition_budgeted_in`]'s, but the pin-seeded
+/// start draws a different RNG stream, so cuts are comparable rather than
+/// byte-identical.
+///
+/// # Errors
+///
+/// [`PipelineError::TargetExceedsTotal`] when `target0 > A(V)`,
+/// [`PipelineError::FixedModuleOutOfRange`] /
+/// [`PipelineError::FixedPartOutOfRange`] for bad pins, and
+/// [`PipelineError::Coarsen`] when the hierarchy cannot be built or
+/// projected.
+///
+/// # Panics
+///
+/// Panics if ε is negative or non-finite.
+#[allow(clippy::too_many_arguments)]
+pub fn try_ml_bipartition_constrained_budgeted_in(
+    h: &Hypergraph,
+    cfg: &MlConfig,
+    fixed: &[(ModuleId, PartId)],
+    target0: u64,
+    epsilon: f64,
+    rng: &mut MlRng,
+    ws: &mut RefineWorkspace,
+    meter: &mut BudgetMeter,
+) -> Result<(Partition, MlResult), PipelineError> {
+    let total = h.total_area();
+    if target0 > total {
+        return Err(PipelineError::TargetExceedsTotal { target0, total });
+    }
+    check_fixed(h, fixed, 2)?;
+    let _obs_run = mlpart_obs::span(
+        "ml_bipartition_constrained",
+        &[
+            ("modules", h.num_modules().into()),
+            ("fixed", fixed.len().into()),
+        ],
+    );
+    let mode = Windows {
+        k: 2,
+        bounds: |fine: &Hypergraph| {
+            PartBounds::around_targets(&[target0, total - target0], total, fine.max_area(), epsilon)
+        },
+    };
+    bipartition(h, cfg, &mode, fixed, rng, ws, meter)
+}
+
+/// The bipartition V-cycle under `mode`: coarsen (steps 1-5), keep the best
+/// of `cfg.initial_tries` refined starts on `Hₘ` (step 6), uncoarsen
+/// (steps 7-9).
+fn bipartition<M: Mode>(
+    h: &Hypergraph,
+    cfg: &MlConfig,
+    mode: &M,
+    fixed: &[(ModuleId, PartId)],
+    rng: &mut MlRng,
+    ws: &mut RefineWorkspace,
+    meter: &mut BudgetMeter,
+) -> Result<(Partition, MlResult), PipelineError> {
+    let hierarchy = Hierarchy::coarsen_with(h, cfg, fixed, mode.pins(), rng)?;
+    let m = hierarchy.num_levels();
     let coarsest = hierarchy.coarsest(h);
+    let coarse_fixed = hierarchy.fixed_at(m);
+    let bounds = mode.bounds(coarsest);
     meter.set_level_context(Some(m as u32));
     let mut total_passes = 0usize;
     let tries = cfg.initial_tries.max(1);
@@ -341,7 +380,10 @@ pub fn try_ml_bipartition_budgeted_in(
     );
     for t in 0..tries {
         let obs_try = mlpart_obs::span("try", &[("try", t.into())]);
-        let (p, r) = fm_partition_budgeted_in(coarsest, None, &cfg.fm, rng, ws, meter);
+        let mut p = vcycle::start(mode, coarsest, coarse_fixed, &bounds, rng);
+        let r = cfg
+            .fm
+            .refine(coarsest, &mut p, coarse_fixed, &bounds, rng, ws, meter);
         total_passes += r.passes;
         drop(obs_try);
         mlpart_obs::counter(
@@ -361,7 +403,7 @@ pub fn try_ml_bipartition_budgeted_in(
             winner = t;
         }
     }
-    let Some((best_cut, mut p, initial_stats)) = best else {
+    let Some((best_cut, p, initial_stats)) = best else {
         return Err(PipelineError::NoStarts);
     };
     mlpart_obs::counter(
@@ -376,409 +418,27 @@ pub fn try_ml_bipartition_budgeted_in(
         &initial_stats,
         0,
     ));
-
-    // --- Uncoarsening phase (steps 7-9). ---
-    let mut rebalance_moves = 0usize;
-    for i in (0..m).rev() {
-        let fine: &Hypergraph = if i == 0 { h } else { hierarchy.level(i) };
-        let _obs_level = mlpart_obs::span(
-            "level",
-            &[("level", i.into()), ("modules", fine.num_modules().into())],
-        );
-        let mut fine_p = project(fine, hierarchy.clustering(i), &p)?;
-        // Definition 2 audit: the projected solution must pull back through
-        // the cluster map and preserve the cut bit-exactly, checked before
-        // §III-B rebalancing perturbs `fine_p`.
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(
-                mlpart_audit::audit_projection(
-                    fine,
-                    &fine_p,
-                    hierarchy.level(i + 1),
-                    &p,
-                    hierarchy.clustering(i).as_map(),
-                )
-                .map_err(|e| e.with_level(i)),
-            );
-        }
-        let balance = BipartBalance::new(fine, cfg.fm.balance_r);
-        let mut level_rebalance = 0usize;
-        if !balance.is_partition_feasible(&fine_p) {
-            level_rebalance = rebalance_bipart(fine, &mut fine_p, &balance, rng);
-            rebalance_moves += level_rebalance;
-        }
-        mlpart_obs::counter(
-            "rebalance",
-            &[("level", i.into()), ("moves", level_rebalance.into())],
-        );
-        // Cooperative budget checkpoint. When the level budget (or any
-        // sticky earlier limit) is exhausted, refinement below runs zero
-        // passes and the projected, rebalanced partition flows through
-        // unchanged — projection never stops, so the final answer is always
-        // a valid partition of `h`.
-        meter.set_level_context(Some(i as u32));
-        let _ = meter.level_checkpoint(i as u32);
-        let r = refine_budgeted_in(fine, &mut fine_p, &cfg.fm, rng, ws, meter);
-        meter.note_level();
-        total_passes += r.passes;
-        level_stats.push(LevelStats::from_passes(
-            i,
-            fine.num_modules(),
-            &r.pass_stats,
-            level_rebalance,
-        ));
-        p = fine_p;
-    }
-
-    #[cfg(feature = "audit")]
-    if mlpart_audit::enabled() {
-        mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
-    }
-    let cut = metrics::cut(h, &p);
+    let done = vcycle::uncoarsen(
+        h,
+        &hierarchy,
+        p,
+        mode,
+        &cfg.fm,
+        rng,
+        ws,
+        meter,
+        &mut level_stats,
+    )?;
     let result = MlResult {
-        cut,
+        cut: metrics::cut(h, &done.p),
         levels: m,
         level_sizes: hierarchy.level_sizes(h),
-        total_passes,
-        rebalance_moves,
+        total_passes: total_passes + done.passes,
+        rebalance_moves: done.rebalance_moves,
         level_stats,
         truncation: meter.truncation(),
     };
-    Ok((p, result))
-}
-
-/// Constraint-aware ML bipartition: [`ml_bipartition`] honoring a
-/// [`Constraints`] set — fixed (pre-assigned) modules and an ε balance
-/// tolerance.
-///
-/// Fixed modules are threaded through every phase: coarsening merges only
-/// same-part pins (via [`Hierarchy::coarsen_parts`]), the initial partition
-/// seeds them on their pinned parts, and refinement/rebalancing never move
-/// them. With no fixed modules and ε = 0.2 the constraint machinery is
-/// algebraically inert, but the RNG schedule differs from
-/// [`ml_bipartition`] (the initial partition is generated by the pipeline,
-/// not inside FM), so cuts are comparable rather than byte-identical.
-///
-/// # Panics
-///
-/// Panics if `constraints.k() != 2` or a fixed module is out of range (run
-/// [`preflight_constrained`](crate::preflight_constrained) first for typed
-/// errors).
-pub fn ml_bipartition_constrained(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-) -> (Partition, MlResult) {
-    let mut ws = RefineWorkspace::new();
-    ml_bipartition_constrained_in(h, cfg, constraints, rng, &mut ws)
-}
-
-/// [`ml_bipartition_constrained`] with caller-owned scratch.
-pub fn ml_bipartition_constrained_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> (Partition, MlResult) {
-    expect_valid(try_ml_bipartition_constrained_in(
-        h,
-        cfg,
-        constraints,
-        rng,
-        ws,
-    ))
-}
-
-/// [`ml_bipartition_constrained_in`] returning a typed error instead of
-/// panicking.
-///
-/// # Errors
-///
-/// [`PipelineError::KMismatch`] when `constraints.k() != 2`,
-/// [`PipelineError::Constraints`] when a fixed module is out of range, plus
-/// anything [`try_ml_bipartition_constrained_budgeted_in`] reports.
-pub fn try_ml_bipartition_constrained_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> Result<(Partition, MlResult), PipelineError> {
-    if constraints.k() != 2 {
-        return Err(PipelineError::KMismatch {
-            context: "bipartition requires k = 2",
-            expected: 2,
-            got: constraints.k(),
-        });
-    }
-    constraints.check_modules(h.num_modules())?;
-    try_ml_bipartition_constrained_budgeted_in(
-        h,
-        cfg,
-        constraints.fixed(),
-        h.total_area() / 2,
-        constraints.epsilon(),
-        rng,
-        ws,
-        &mut BudgetMeter::unlimited(),
-    )
-}
-
-/// The fully general constrained bisection step: pins, an explicit area
-/// target for side 0 (side 1 gets the rest), a tolerance ε, and a budget.
-///
-/// This is the primitive [`recursive_ml_partition`](crate::recursive_ml_partition)
-/// builds general k from — asymmetric targets let one bisection carve
-/// `⌈k/2⌉ : ⌊k/2⌋` area shares. Per-level bounds recompute around the
-/// targets with each level's max module area (the §III-B widening), so
-/// coarse levels are never over-constrained.
-///
-/// # Panics
-///
-/// Panics if `target0 > A(V)`, ε is invalid, or a fixed entry is out of
-/// range.
-#[allow(clippy::too_many_arguments)]
-pub fn ml_bipartition_constrained_budgeted_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    fixed: &[(ModuleId, PartId)],
-    target0: u64,
-    epsilon: f64,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> (Partition, MlResult) {
-    expect_valid(try_ml_bipartition_constrained_budgeted_in(
-        h, cfg, fixed, target0, epsilon, rng, ws, meter,
-    ))
-}
-
-/// [`ml_bipartition_constrained_budgeted_in`] returning a typed error
-/// instead of panicking.
-///
-/// # Errors
-///
-/// [`PipelineError::TargetExceedsTotal`] when `target0 > A(V)`,
-/// [`PipelineError::FixedModuleOutOfRange`] /
-/// [`PipelineError::FixedPartOutOfRange`] for bad pins, and
-/// [`PipelineError::Coarsen`] when the hierarchy cannot be built or
-/// projected.
-#[allow(clippy::too_many_arguments)]
-pub fn try_ml_bipartition_constrained_budgeted_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    fixed: &[(ModuleId, PartId)],
-    target0: u64,
-    epsilon: f64,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> Result<(Partition, MlResult), PipelineError> {
-    let total = h.total_area();
-    if target0 > total {
-        return Err(PipelineError::TargetExceedsTotal { target0, total });
-    }
-    for &(v, p) in fixed {
-        if v.index() >= h.num_modules() {
-            return Err(PipelineError::FixedModuleOutOfRange {
-                module: v.index(),
-                num_modules: h.num_modules(),
-            });
-        }
-        if p >= 2 {
-            return Err(PipelineError::FixedPartOutOfRange { part: p, k: 2 });
-        }
-    }
-    let _obs_run = mlpart_obs::span(
-        "ml_bipartition_constrained",
-        &[
-            ("modules", h.num_modules().into()),
-            ("fixed", fixed.len().into()),
-        ],
-    );
-    let bounds_for = |fine: &Hypergraph| {
-        PartBounds::around_targets(&[target0, total - target0], total, fine.max_area(), epsilon)
-    };
-
-    // --- Coarsening (same-part pins may merge). ---
-    let hierarchy = Hierarchy::try_coarsen_parts(h, cfg, fixed, rng)?;
-    let m = hierarchy.num_levels();
-
-    // --- Initial partitioning of Hₘ, seeded from the coarse pins. ---
-    let coarsest = hierarchy.coarsest(h);
-    let coarse_fixed = hierarchy.fixed_at(m);
-    let coarse_mask = fixed_mask(coarse_fixed, coarsest.num_modules());
-    let coarse_bounds = bounds_for(coarsest);
-    meter.set_level_context(Some(m as u32));
-    let mut total_passes = 0usize;
-    let tries = cfg.initial_tries.max(1);
-    let mut best: Option<(u64, Partition, Vec<PassStats>)> = None;
-    for _t in 0..tries {
-        let mut p = Partition::random_fixed(coarsest, 2, coarse_fixed, rng);
-        if !coarse_bounds.is_partition_feasible(&p) {
-            let _ = rebalance_to_bounds(coarsest, &mut p, coarse_fixed, &coarse_bounds, rng);
-        }
-        let r = refine_constrained_budgeted_in(
-            coarsest,
-            &mut p,
-            &cfg.fm,
-            &coarse_bounds,
-            &coarse_mask,
-            rng,
-            ws,
-            meter,
-        );
-        total_passes += r.passes;
-        // Strict `<`: the first try reaching the minimum wins (see
-        // `ml_bipartition_budgeted_in`).
-        if best.as_ref().is_none_or(|(c, _, _)| r.cut < *c) {
-            best = Some((r.cut, p, r.pass_stats));
-        }
-    }
-    let Some((_best_cut, mut p, initial_stats)) = best else {
-        return Err(PipelineError::NoStarts);
-    };
-    let mut level_stats = Vec::with_capacity(m + 1);
-    level_stats.push(LevelStats::from_passes(
-        m,
-        coarsest.num_modules(),
-        &initial_stats,
-        0,
-    ));
-
-    // --- Uncoarsening with pin-respecting rebalance and refinement. ---
-    let mut rebalance_moves = 0usize;
-    for i in (0..m).rev() {
-        let fine: &Hypergraph = if i == 0 { h } else { hierarchy.level(i) };
-        let _obs_level = mlpart_obs::span(
-            "level",
-            &[("level", i.into()), ("modules", fine.num_modules().into())],
-        );
-        let mut fine_p = project(fine, hierarchy.clustering(i), &p)?;
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(
-                mlpart_audit::audit_projection(
-                    fine,
-                    &fine_p,
-                    hierarchy.level(i + 1),
-                    &p,
-                    hierarchy.clustering(i).as_map(),
-                )
-                .map_err(|e| e.with_level(i)),
-            );
-        }
-        let bounds = bounds_for(fine);
-        let level_fixed = hierarchy.fixed_at(i);
-        let mut level_rebalance = 0usize;
-        if !bounds.is_partition_feasible(&fine_p) {
-            level_rebalance = rebalance_to_bounds(fine, &mut fine_p, level_fixed, &bounds, rng);
-            rebalance_moves += level_rebalance;
-        }
-        meter.set_level_context(Some(i as u32));
-        let _ = meter.level_checkpoint(i as u32);
-        let mask = fixed_mask(level_fixed, fine.num_modules());
-        let r = refine_constrained_budgeted_in(
-            fine,
-            &mut fine_p,
-            &cfg.fm,
-            &bounds,
-            &mask,
-            rng,
-            ws,
-            meter,
-        );
-        meter.note_level();
-        // Pins must survive every level, not just the final answer.
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(
-                mlpart_audit::audit_fixed_assignment(&fine_p, level_fixed)
-                    .map_err(|e| e.with_level(i)),
-            );
-        }
-        total_passes += r.passes;
-        level_stats.push(LevelStats::from_passes(
-            i,
-            fine.num_modules(),
-            &r.pass_stats,
-            level_rebalance,
-        ));
-        p = fine_p;
-    }
-
-    #[cfg(feature = "audit")]
-    if mlpart_audit::enabled() {
-        mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
-        mlpart_audit::enforce(mlpart_audit::audit_fixed_assignment(&p, fixed));
-    }
-    let cut = metrics::cut(h, &p);
-    let result = MlResult {
-        cut,
-        levels: m,
-        level_sizes: hierarchy.level_sizes(h),
-        total_passes,
-        rebalance_moves,
-        level_stats,
-        truncation: meter.truncation(),
-    };
-    Ok((p, result))
-}
-
-/// Multi-start convenience driver: runs [`ml_bipartition_in`] once per start
-/// with the independent seed stream `child_seed(base_seed, i)` and returns
-/// the winning start's index, partition, and statistics. The winner is the
-/// lowest cut, ties broken by the **lowest start index**, so the result is a
-/// pure function of `(h, cfg, runs, base_seed)` — the contract the parallel
-/// execution layer (`mlpart-exec`) relies on to fan starts out across
-/// threads without changing any answer.
-///
-/// All starts refine through the caller's workspace, so per-start allocation
-/// stays amortized.
-///
-/// # Panics
-///
-/// Panics if `runs == 0`.
-pub fn ml_best_of_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    runs: usize,
-    base_seed: u64,
-    ws: &mut RefineWorkspace,
-) -> (usize, Partition, MlResult) {
-    expect_valid(try_ml_best_of_in(h, cfg, runs, base_seed, ws))
-}
-
-/// [`ml_best_of_in`] returning a typed error instead of panicking.
-///
-/// # Errors
-///
-/// [`PipelineError::NoStarts`] when `runs == 0`, plus anything a single
-/// start ([`try_ml_bipartition_budgeted_in`]) reports.
-pub fn try_ml_best_of_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    runs: usize,
-    base_seed: u64,
-    ws: &mut RefineWorkspace,
-) -> Result<(usize, Partition, MlResult), PipelineError> {
-    if runs == 0 {
-        return Err(PipelineError::NoStarts);
-    }
-    let mut best: Option<(usize, Partition, MlResult)> = None;
-    for i in 0..runs {
-        let mut rng = seeded_rng(child_seed(base_seed, i as u64));
-        let (p, r) =
-            try_ml_bipartition_budgeted_in(h, cfg, &mut rng, ws, &mut BudgetMeter::unlimited())?;
-        // Strict `<`: the earliest start that reaches the minimum wins.
-        if best.as_ref().is_none_or(|(_, _, b)| r.cut < b.cut) {
-            best = Some((i, p, r));
-        }
-    }
-    best.ok_or(PipelineError::NoStarts)
+    Ok((done.p, result))
 }
 
 #[cfg(test)]
@@ -786,6 +446,7 @@ mod tests {
     use super::*;
     use mlpart_fm::{fm_partition, BucketPolicy};
     use mlpart_hypergraph::rng::seeded_rng;
+    use mlpart_hypergraph::BipartBalance;
     use mlpart_hypergraph::HypergraphBuilder;
 
     /// Two communities of size `half`, internally ring+chords, one bridge.
@@ -931,36 +592,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn best_of_matches_manual_sequential_loop() {
-        let h = two_communities(48);
-        let cfg = MlConfig::clip();
-        let (runs, base) = (6usize, 77u64);
-        let mut ws = RefineWorkspace::new();
-        let (win_idx, win_p, win_r) = ml_best_of_in(&h, &cfg, runs, base, &mut ws);
-        // Manual loop with fresh workspaces: same streams, same winner.
-        let mut best: Option<(usize, Partition, MlResult)> = None;
-        for i in 0..runs {
-            let mut rng = seeded_rng(child_seed(base, i as u64));
-            let (p, r) = ml_bipartition(&h, &cfg, &mut rng);
-            if best.as_ref().is_none_or(|(_, _, b)| r.cut < b.cut) {
-                best = Some((i, p, r));
-            }
-        }
-        let (idx, p, r) = best.unwrap();
-        assert_eq!(win_idx, idx);
-        assert_eq!(win_p.assignment(), p.assignment());
-        assert_eq!(win_r, r);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one start")]
-    fn best_of_rejects_zero_runs() {
-        let h = two_communities(8);
-        let mut ws = RefineWorkspace::new();
-        let _ = ml_best_of_in(&h, &MlConfig::default(), 0, 1, &mut ws);
-    }
-
     /// With audits forced on, every projection boundary of a multilevel run
     /// is checked (and a healthy run survives them all).
     #[cfg(feature = "audit")]
@@ -989,7 +620,27 @@ mod tests {
 mod constrained_tests {
     use super::*;
     use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::HypergraphBuilder;
+    use mlpart_hypergraph::{Constraints, HypergraphBuilder};
+
+    /// A balanced constrained bisection of `h` under `c` (k = 2).
+    fn ml_bipartition_constrained(
+        h: &Hypergraph,
+        cfg: &MlConfig,
+        c: &Constraints,
+        rng: &mut MlRng,
+    ) -> (Partition, MlResult) {
+        try_ml_bipartition_constrained_budgeted_in(
+            h,
+            cfg,
+            c.fixed(),
+            h.total_area() / 2,
+            c.epsilon(),
+            rng,
+            &mut RefineWorkspace::new(),
+            &mut BudgetMeter::unlimited(),
+        )
+        .expect("valid constraints")
+    }
 
     fn two_communities(half: usize) -> Hypergraph {
         let mut b = HypergraphBuilder::with_unit_areas(2 * half);
@@ -1104,7 +755,7 @@ mod constrained_tests {
             max_passes: Some(1),
             ..Budget::default()
         });
-        let (p, r) = ml_bipartition_constrained_budgeted_in(
+        let (p, r) = try_ml_bipartition_constrained_budgeted_in(
             &h,
             &MlConfig::default(),
             c.fixed(),
@@ -1113,7 +764,8 @@ mod constrained_tests {
             &mut rng,
             &mut ws,
             &mut meter,
-        );
+        )
+        .expect("valid constraints");
         assert!(r.truncation.is_some());
         assert!(p.validate(&h));
         assert_eq!(p.part(ModuleId::new(0)), 1, "pin survives truncation");
@@ -1133,15 +785,6 @@ mod constrained_tests {
         assert!(r.levels >= 1, "need at least one projection to audit");
         assert!(p.validate(&h));
     }
-
-    #[test]
-    #[should_panic(expected = "bipartition requires k = 2")]
-    fn rejects_nonbisection_k() {
-        let h = two_communities(8);
-        let c = Constraints::unconstrained(4);
-        let mut rng = seeded_rng(0);
-        let _ = ml_bipartition_constrained(&h, &MlConfig::default(), &c, &mut rng);
-    }
 }
 
 #[cfg(test)]
@@ -1149,6 +792,7 @@ mod budget_tests {
     use super::*;
     use mlpart_fm::{Budget, BudgetLimit};
     use mlpart_hypergraph::rng::seeded_rng;
+    use mlpart_hypergraph::BipartBalance;
     use mlpart_hypergraph::HypergraphBuilder;
 
     fn two_communities(half: usize) -> Hypergraph {
@@ -1164,15 +808,16 @@ mod budget_tests {
     }
 
     #[test]
-    fn unlimited_meter_is_bit_identical_to_unbudgeted() {
+    fn unlimited_meter_on_a_reused_workspace_is_bit_identical_to_unbudgeted() {
         let h = two_communities(64);
         let cfg = MlConfig::clip();
-        let mut rng1 = seeded_rng(21);
-        let mut rng2 = seeded_rng(21);
+        // Warm the workspace on another seed first: reuse must not leak.
         let mut ws = RefineWorkspace::new();
-        let (p1, r1) = ml_bipartition_in(&h, &cfg, &mut rng1, &mut ws);
+        let unlimited = || BudgetMeter::unlimited();
+        let _ = ml_bipartition_budgeted_in(&h, &cfg, &mut seeded_rng(7), &mut ws, &mut unlimited());
+        let (p1, r1) = ml_bipartition(&h, &cfg, &mut seeded_rng(21));
         let (p2, r2) =
-            ml_bipartition_budgeted_in(&h, &cfg, &mut rng2, &mut ws, &mut BudgetMeter::unlimited());
+            ml_bipartition_budgeted_in(&h, &cfg, &mut seeded_rng(21), &mut ws, &mut unlimited());
         assert_eq!(p1.assignment(), p2.assignment());
         assert_eq!(r1, r2);
         assert_eq!(r2.truncation, None);

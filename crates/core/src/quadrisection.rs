@@ -10,17 +10,13 @@
 use crate::error::{expect_valid, PipelineError};
 use crate::hierarchy::Hierarchy;
 use crate::ml::{LevelStats, MlConfig};
-use mlpart_cluster::{project, rebalance_kway_frozen};
+use crate::vcycle::{self, check_fixed, Mode, Ratio, Refiner, Windows};
 use mlpart_fm::{BudgetMeter, RefineWorkspace, Truncation};
-use mlpart_hypergraph::rng::{child_seed, seeded_rng, MlRng};
+use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
-    metrics, Constraints, ConstraintsError, Hypergraph, KwayBalance, ModuleId, PartBounds, PartId,
-    Partition,
+    metrics, Constraints, ConstraintsError, Hypergraph, ModuleId, PartBounds, PartId, Partition,
 };
-use mlpart_kway::{
-    kway_partition_budgeted_in, kway_refine_budgeted_in, kway_refine_constrained_budgeted_in,
-    rebalance_to_bounds, KwayConfig,
-};
+use mlpart_kway::KwayConfig;
 
 /// Configuration for multilevel k-way partitioning.
 ///
@@ -83,7 +79,8 @@ pub struct MlKwayResult {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.k == 0` or a fixed assignment is out of range.
+/// Panics where [`try_ml_kway_budgeted_in`] returns an error (`cfg.k == 0`,
+/// a fixed assignment out of range).
 ///
 /// # Examples
 ///
@@ -116,29 +113,19 @@ pub fn ml_kway(
     fixed: &[(ModuleId, PartId)],
     rng: &mut MlRng,
 ) -> (Partition, MlKwayResult) {
-    let mut ws = RefineWorkspace::new();
-    ml_kway_in(h, cfg, fixed, rng, &mut ws)
+    ml_kway_budgeted_in(
+        h,
+        cfg,
+        fixed,
+        rng,
+        &mut RefineWorkspace::new(),
+        &mut BudgetMeter::unlimited(),
+    )
 }
 
-/// [`ml_kway`] with caller-owned scratch: every level refines through the
-/// same [`RefineWorkspace`] (bound in its k-way shape), so the per-level
-/// gain/bucket allocations are reused. Results are bit-identical to
-/// [`ml_kway`].
-pub fn ml_kway_in(
-    h: &Hypergraph,
-    cfg: &MlKwayConfig,
-    fixed: &[(ModuleId, PartId)],
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> (Partition, MlKwayResult) {
-    ml_kway_budgeted_in(h, cfg, fixed, rng, ws, &mut BudgetMeter::unlimited())
-}
-
-/// [`ml_kway_in`] under a cooperative execution budget; the k-way twin of
-/// [`ml_bipartition_budgeted_in`](crate::ml_bipartition_budgeted_in). Once a
-/// limit fires refinement stops, but projection and rebalancing still run at
-/// every level, so the returned partition is always valid and feasible. With
-/// an unlimited meter this is bit-identical to [`ml_kway_in`].
+/// [`ml_kway`] with caller-owned scratch and a cooperative budget; panics
+/// where [`try_ml_kway_budgeted_in`] returns an error. Kept because the
+/// benchmark harness (`perfbench/src/drive.rs`) drives it.
 pub fn ml_kway_budgeted_in(
     h: &Hypergraph,
     cfg: &MlKwayConfig,
@@ -150,12 +137,21 @@ pub fn ml_kway_budgeted_in(
     expect_valid(try_ml_kway_budgeted_in(h, cfg, fixed, rng, ws, meter))
 }
 
-/// [`ml_kway_budgeted_in`] returning a typed error instead of panicking —
-/// the non-panicking root of the k-way entry points.
+/// The paper's multilevel k-way partitioning (§III-C) with uniform balance
+/// windows from `cfg.kway.balance_r`, under a cooperative execution budget;
+/// the k-way twin of
+/// [`try_ml_bipartition_budgeted_in`](crate::try_ml_bipartition_budgeted_in).
+///
+/// Every level refines through `ws` (bound in its k-way shape). Once a
+/// limit fires refinement stops, but projection and rebalancing still run
+/// at every level, so the returned partition is always valid and feasible.
+/// Pads in `fixed` are audited at every level when audits are enabled.
 ///
 /// # Errors
 ///
-/// [`PipelineError::Constraints`] when `cfg.k == 0`;
+/// [`PipelineError::Constraints`] when `cfg.k == 0`,
+/// [`PipelineError::FixedModuleOutOfRange`] /
+/// [`PipelineError::FixedPartOutOfRange`] for bad pads, and
 /// [`PipelineError::Coarsen`] when building or projecting through the
 /// hierarchy fails.
 pub fn try_ml_kway_budgeted_in(
@@ -169,13 +165,7 @@ pub fn try_ml_kway_budgeted_in(
     if cfg.k == 0 {
         return Err(PipelineError::Constraints(ConstraintsError::ZeroParts));
     }
-    // Reuse the bipartition hierarchy builder: only T / R / max_levels apply.
-    let ml_cfg = MlConfig {
-        coarsen_threshold: cfg.coarsen_threshold,
-        matching_ratio: cfg.matching_ratio,
-        max_levels: cfg.max_levels,
-        ..MlConfig::default()
-    };
+    check_fixed(h, fixed, cfg.k)?;
     let _obs_run = mlpart_obs::span(
         "ml_kway",
         &[
@@ -183,190 +173,18 @@ pub fn try_ml_kway_budgeted_in(
             ("modules", h.num_modules().into()),
         ],
     );
-    let hierarchy = Hierarchy::try_coarsen(h, &ml_cfg, fixed, rng)?;
-    let m = hierarchy.num_levels();
-
-    // Initial k-way partitioning of the coarsest netlist.
-    let coarsest = hierarchy.coarsest(h);
-    let obs_initial = mlpart_obs::span(
-        "initial",
-        &[
-            ("tries", 1u64.into()),
-            ("level", m.into()),
-            ("modules", coarsest.num_modules().into()),
-        ],
-    );
-    let obs_try = mlpart_obs::span("try", &[("try", 0u64.into())]);
-    meter.set_level_context(Some(m as u32));
-    let (mut p, r0) = kway_partition_budgeted_in(
-        coarsest,
-        cfg.k,
-        None,
-        hierarchy.fixed_at(m),
-        &cfg.kway,
-        rng,
-        ws,
-        meter,
-    );
-    drop(obs_try);
-    mlpart_obs::counter(
-        "initial_winner",
-        &[("try", 0u64.into()), ("cut", r0.cut.into())],
-    );
-    drop(obs_initial);
-    let mut total_passes = r0.passes;
-    let mut level_stats = Vec::with_capacity(m + 1);
-    level_stats.push(LevelStats::from_passes(
-        m,
-        coarsest.num_modules(),
-        &r0.pass_stats,
-        0,
-    ));
-
-    // Uncoarsening with projection, rebalancing, and k-way refinement.
-    let mut rebalance_moves = 0usize;
-    for i in (0..m).rev() {
-        let fine: &Hypergraph = if i == 0 { h } else { hierarchy.level(i) };
-        let _obs_level = mlpart_obs::span(
-            "level",
-            &[("level", i.into()), ("modules", fine.num_modules().into())],
-        );
-        let mut fine_p = project(fine, hierarchy.clustering(i), &p)?;
-        // Definition 2 audit (k-way form), before rebalancing perturbs
-        // `fine_p`: pullback through the cluster map and bit-exact cut.
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(
-                mlpart_audit::audit_projection(
-                    fine,
-                    &fine_p,
-                    hierarchy.level(i + 1),
-                    &p,
-                    hierarchy.clustering(i).as_map(),
-                )
-                .map_err(|e| e.with_level(i)),
-            );
-        }
-        let balance = KwayBalance::new(fine, cfg.k, cfg.kway.balance_r);
-        let mut level_rebalance = 0usize;
-        if !balance.is_partition_feasible(&fine_p) {
-            let level_fixed = hierarchy.fixed_at(i);
-            let mask: Option<Vec<bool>> = if level_fixed.is_empty() {
-                None
-            } else {
-                let mut m = vec![false; fine.num_modules()];
-                for &(v, _) in level_fixed {
-                    m[v.index()] = true;
-                }
-                Some(m)
-            };
-            level_rebalance =
-                rebalance_kway_frozen(fine, &mut fine_p, &balance, mask.as_deref(), rng);
-            rebalance_moves += level_rebalance;
-        }
-        mlpart_obs::counter(
-            "rebalance",
-            &[("level", i.into()), ("moves", level_rebalance.into())],
-        );
-        // Cooperative budget checkpoint; see `ml_bipartition_budgeted_in`.
-        // An exhausted meter skips the refinement below (zero passes) while
-        // projection and rebalancing keep the partition valid and feasible.
-        meter.set_level_context(Some(i as u32));
-        let _ = meter.level_checkpoint(i as u32);
-        let r = kway_refine_budgeted_in(
-            fine,
-            &mut fine_p,
-            hierarchy.fixed_at(i),
-            &cfg.kway,
-            rng,
-            ws,
-            meter,
-        );
-        meter.note_level();
-        total_passes += r.passes;
-        level_stats.push(LevelStats::from_passes(
-            i,
-            fine.num_modules(),
-            &r.pass_stats,
-            level_rebalance,
-        ));
-        p = fine_p;
-    }
-
-    #[cfg(feature = "audit")]
-    if mlpart_audit::enabled() {
-        mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
-    }
-    let result = MlKwayResult {
-        cut: metrics::cut(h, &p),
-        sum_of_degrees: metrics::sum_of_spans_minus_one(h, &p),
-        levels: m,
-        level_sizes: hierarchy.level_sizes(h),
-        total_passes,
-        rebalance_moves,
-        level_stats,
-        truncation: meter.truncation(),
+    let mode = Ratio {
+        k: cfg.k,
+        r: cfg.kway.balance_r,
     };
-    Ok((p, result))
+    kway(h, cfg, &mode, fixed, rng, ws, meter)
 }
 
-/// Constraint-aware multilevel k-way partitioning: [`ml_kway`] driven by a
-/// full [`Constraints`] set — general `k`, ε-derived per-part bounds, and
-/// fixed modules that may coarsen together when pinned to the same part
-/// (via [`Hierarchy::coarsen_parts`], unlike the singleton-freezing
-/// [`ml_kway`]).
-///
-/// # Panics
-///
-/// Panics if `cfg.k != constraints.k()` or a fixed module is out of range
-/// (run [`preflight_constrained`](crate::preflight_constrained) first for
-/// typed errors).
-pub fn ml_kway_constrained(
-    h: &Hypergraph,
-    cfg: &MlKwayConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-) -> (Partition, MlKwayResult) {
-    let mut ws = RefineWorkspace::new();
-    ml_kway_constrained_in(h, cfg, constraints, rng, &mut ws)
-}
-
-/// [`ml_kway_constrained`] with caller-owned scratch.
-pub fn ml_kway_constrained_in(
-    h: &Hypergraph,
-    cfg: &MlKwayConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> (Partition, MlKwayResult) {
-    ml_kway_constrained_budgeted_in(h, cfg, constraints, rng, ws, &mut BudgetMeter::unlimited())
-}
-
-/// [`ml_kway_constrained_in`] under a cooperative execution budget; the
-/// constraint-aware twin of [`ml_kway_budgeted_in`]. Per-level bounds are
-/// recomputed from ε with each level's max module area, projection and
-/// pin-respecting rebalancing run at every level even once the budget is
-/// exhausted, and pins are audited at every level when audits are enabled.
-pub fn ml_kway_constrained_budgeted_in(
-    h: &Hypergraph,
-    cfg: &MlKwayConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> (Partition, MlKwayResult) {
-    expect_valid(try_ml_kway_constrained_budgeted_in(
-        h,
-        cfg,
-        constraints,
-        rng,
-        ws,
-        meter,
-    ))
-}
-
-/// [`ml_kway_constrained_budgeted_in`] returning a typed error instead of
-/// panicking.
+/// Constraint-aware multilevel k-way partitioning: the V-cycle of
+/// [`try_ml_kway_budgeted_in`] driven by a full [`Constraints`] set —
+/// general `k`, ε-derived per-level bounds recomputed with each level's max
+/// module area, and fixed modules that may coarsen together when pinned to
+/// the same part (the paper's pads stay singletons instead).
 ///
 /// # Errors
 ///
@@ -391,12 +209,6 @@ pub fn try_ml_kway_constrained_budgeted_in(
         });
     }
     constraints.check_modules(h.num_modules())?;
-    let ml_cfg = MlConfig {
-        coarsen_threshold: cfg.coarsen_threshold,
-        matching_ratio: cfg.matching_ratio,
-        max_levels: cfg.max_levels,
-        ..MlConfig::default()
-    };
     let _obs_run = mlpart_obs::span(
         "ml_kway_constrained",
         &[
@@ -406,30 +218,56 @@ pub fn try_ml_kway_constrained_budgeted_in(
         ],
     );
     let epsilon = constraints.epsilon();
-    let bounds_for = |fine: &Hypergraph| PartBounds::from_epsilon(fine, k, epsilon);
-    let hierarchy = Hierarchy::try_coarsen_parts(h, &ml_cfg, constraints.fixed(), rng)?;
-    let m = hierarchy.num_levels();
+    let mode = Windows {
+        k,
+        bounds: |fine: &Hypergraph| PartBounds::from_epsilon(fine, k, epsilon),
+    };
+    kway(h, cfg, &mode, constraints.fixed(), rng, ws, meter)
+}
 
-    // Initial k-way partitioning of the coarsest netlist, seeded from pins.
+/// The k-way V-cycle under `mode`: coarsen, refine one start on the
+/// coarsest netlist, uncoarsen.
+fn kway<M: Mode>(
+    h: &Hypergraph,
+    cfg: &MlKwayConfig,
+    mode: &M,
+    fixed: &[(ModuleId, PartId)],
+    rng: &mut MlRng,
+    ws: &mut RefineWorkspace,
+    meter: &mut BudgetMeter,
+) -> Result<(Partition, MlKwayResult), PipelineError> {
+    // Reuse the bipartition hierarchy builder: only T / R / max_levels apply.
+    let ml_cfg = MlConfig {
+        coarsen_threshold: cfg.coarsen_threshold,
+        matching_ratio: cfg.matching_ratio,
+        max_levels: cfg.max_levels,
+        ..MlConfig::default()
+    };
+    let hierarchy = Hierarchy::coarsen_with(h, &ml_cfg, fixed, mode.pins(), rng)?;
+    let m = hierarchy.num_levels();
     let coarsest = hierarchy.coarsest(h);
     let coarse_fixed = hierarchy.fixed_at(m);
-    let coarse_bounds = bounds_for(coarsest);
-    meter.set_level_context(Some(m as u32));
-    let mut p = Partition::random_fixed(coarsest, k, coarse_fixed, rng);
-    if !coarse_bounds.is_partition_feasible(&p) {
-        let _ = rebalance_to_bounds(coarsest, &mut p, coarse_fixed, &coarse_bounds, rng);
-    }
-    let r0 = kway_refine_constrained_budgeted_in(
-        coarsest,
-        &mut p,
-        coarse_fixed,
-        &cfg.kway,
-        &coarse_bounds,
-        rng,
-        ws,
-        meter,
+    let bounds = mode.bounds(coarsest);
+    let obs_initial = mlpart_obs::span(
+        "initial",
+        &[
+            ("tries", 1u64.into()),
+            ("level", m.into()),
+            ("modules", coarsest.num_modules().into()),
+        ],
     );
-    let mut total_passes = r0.passes;
+    let obs_try = mlpart_obs::span("try", &[("try", 0u64.into())]);
+    meter.set_level_context(Some(m as u32));
+    let mut p = vcycle::start(mode, coarsest, coarse_fixed, &bounds, rng);
+    let r0 = cfg
+        .kway
+        .refine(coarsest, &mut p, coarse_fixed, &bounds, rng, ws, meter);
+    drop(obs_try);
+    mlpart_obs::counter(
+        "initial_winner",
+        &[("try", 0u64.into()), ("cut", r0.cut.into())],
+    );
+    drop(obs_initial);
     let mut level_stats = Vec::with_capacity(m + 1);
     level_stats.push(LevelStats::from_passes(
         m,
@@ -437,153 +275,62 @@ pub fn try_ml_kway_constrained_budgeted_in(
         &r0.pass_stats,
         0,
     ));
-
-    // Uncoarsening with pin-respecting rebalance and bounded refinement.
-    let mut rebalance_moves = 0usize;
-    for i in (0..m).rev() {
-        let fine: &Hypergraph = if i == 0 { h } else { hierarchy.level(i) };
-        let _obs_level = mlpart_obs::span(
-            "level",
-            &[("level", i.into()), ("modules", fine.num_modules().into())],
-        );
-        let mut fine_p = project(fine, hierarchy.clustering(i), &p)?;
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(
-                mlpart_audit::audit_projection(
-                    fine,
-                    &fine_p,
-                    hierarchy.level(i + 1),
-                    &p,
-                    hierarchy.clustering(i).as_map(),
-                )
-                .map_err(|e| e.with_level(i)),
-            );
-        }
-        let bounds = bounds_for(fine);
-        let level_fixed = hierarchy.fixed_at(i);
-        let mut level_rebalance = 0usize;
-        if !bounds.is_partition_feasible(&fine_p) {
-            level_rebalance = rebalance_to_bounds(fine, &mut fine_p, level_fixed, &bounds, rng);
-            rebalance_moves += level_rebalance;
-        }
-        meter.set_level_context(Some(i as u32));
-        let _ = meter.level_checkpoint(i as u32);
-        let r = kway_refine_constrained_budgeted_in(
-            fine,
-            &mut fine_p,
-            level_fixed,
-            &cfg.kway,
-            &bounds,
-            rng,
-            ws,
-            meter,
-        );
-        meter.note_level();
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(
-                mlpart_audit::audit_fixed_assignment(&fine_p, level_fixed)
-                    .map_err(|e| e.with_level(i)),
-            );
-        }
-        total_passes += r.passes;
-        level_stats.push(LevelStats::from_passes(
-            i,
-            fine.num_modules(),
-            &r.pass_stats,
-            level_rebalance,
-        ));
-        p = fine_p;
-    }
-
-    #[cfg(feature = "audit")]
-    if mlpart_audit::enabled() {
-        mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
-        mlpart_audit::enforce(mlpart_audit::audit_fixed_assignment(
-            &p,
-            constraints.fixed(),
-        ));
-    }
+    let done = vcycle::uncoarsen(
+        h,
+        &hierarchy,
+        p,
+        mode,
+        &cfg.kway,
+        rng,
+        ws,
+        meter,
+        &mut level_stats,
+    )?;
     let result = MlKwayResult {
-        cut: metrics::cut(h, &p),
-        sum_of_degrees: metrics::sum_of_spans_minus_one(h, &p),
+        cut: metrics::cut(h, &done.p),
+        sum_of_degrees: metrics::sum_of_spans_minus_one(h, &done.p),
         levels: m,
         level_sizes: hierarchy.level_sizes(h),
-        total_passes,
-        rebalance_moves,
+        total_passes: r0.passes + done.passes,
+        rebalance_moves: done.rebalance_moves,
         level_stats,
         truncation: meter.truncation(),
     };
-    Ok((p, result))
-}
-
-/// Multi-start convenience driver: runs [`ml_kway_in`] once per start with
-/// the independent seed stream `child_seed(base_seed, i)` and returns the
-/// winning start's index, partition, and statistics (lowest cut, ties to the
-/// lowest start index). The k-way twin of
-/// [`ml_best_of_in`](crate::ml_best_of_in); see there for why this total
-/// order makes the result schedule-independent.
-///
-/// # Panics
-///
-/// Panics if `runs == 0` or the underlying [`ml_kway_in`] panics.
-pub fn ml_kway_best_of_in(
-    h: &Hypergraph,
-    cfg: &MlKwayConfig,
-    fixed: &[(ModuleId, PartId)],
-    runs: usize,
-    base_seed: u64,
-    ws: &mut RefineWorkspace,
-) -> (usize, Partition, MlKwayResult) {
-    expect_valid(try_ml_kway_best_of_in(h, cfg, fixed, runs, base_seed, ws))
-}
-
-/// [`ml_kway_best_of_in`] returning a typed error instead of panicking.
-///
-/// # Errors
-///
-/// [`PipelineError::NoStarts`] when `runs == 0`, plus anything a single
-/// start ([`try_ml_kway_budgeted_in`]) reports.
-pub fn try_ml_kway_best_of_in(
-    h: &Hypergraph,
-    cfg: &MlKwayConfig,
-    fixed: &[(ModuleId, PartId)],
-    runs: usize,
-    base_seed: u64,
-    ws: &mut RefineWorkspace,
-) -> Result<(usize, Partition, MlKwayResult), PipelineError> {
-    if runs == 0 {
-        return Err(PipelineError::NoStarts);
-    }
-    let mut best: Option<(usize, Partition, MlKwayResult)> = None;
-    for i in 0..runs {
-        let mut rng = seeded_rng(child_seed(base_seed, i as u64));
-        let (p, r) =
-            try_ml_kway_budgeted_in(h, cfg, fixed, &mut rng, ws, &mut BudgetMeter::unlimited())?;
-        if best.as_ref().is_none_or(|(_, _, b)| r.cut < b.cut) {
-            best = Some((i, p, r));
-        }
-    }
-    best.ok_or(PipelineError::NoStarts)
-}
-
-/// Convenience wrapper for the paper's quadrisection setup: `k = 4`,
-/// `T = 100`, `R = 1.0`, sum-of-degrees gain.
-pub fn ml_quadrisection(
-    h: &Hypergraph,
-    fixed: &[(ModuleId, PartId)],
-    rng: &mut MlRng,
-) -> (Partition, MlKwayResult) {
-    ml_kway(h, &MlKwayConfig::default(), fixed, rng)
+    Ok((done.p, result))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::HypergraphBuilder;
+    use mlpart_hypergraph::{HypergraphBuilder, KwayBalance};
     use mlpart_kway::kway_partition;
+
+    /// The paper's quadrisection setup: `k = 4`, `T = 100`, `R = 1.0`,
+    /// sum-of-degrees gain.
+    fn ml_quadrisection(
+        h: &Hypergraph,
+        fixed: &[(ModuleId, PartId)],
+        rng: &mut MlRng,
+    ) -> (Partition, MlKwayResult) {
+        ml_kway(h, &MlKwayConfig::default(), fixed, rng)
+    }
+
+    fn ml_kway_constrained(
+        h: &Hypergraph,
+        cfg: &MlKwayConfig,
+        c: &Constraints,
+        rng: &mut MlRng,
+    ) -> Result<(Partition, MlKwayResult), PipelineError> {
+        try_ml_kway_constrained_budgeted_in(
+            h,
+            cfg,
+            c,
+            rng,
+            &mut RefineWorkspace::new(),
+            &mut BudgetMeter::unlimited(),
+        )
+    }
 
     /// Four communities in a ring; optimum quadrisection cuts the 4 bridges.
     fn four_communities(size: usize) -> Hypergraph {
@@ -625,27 +372,6 @@ mod tests {
         assert_eq!(r.cut, metrics::cut(&h, &p));
         assert_eq!(r.sum_of_degrees, metrics::sum_of_spans_minus_one(&h, &p));
         assert_eq!(r.level_sizes.len(), r.levels + 1);
-    }
-
-    #[test]
-    fn kway_best_of_matches_manual_sequential_loop() {
-        let h = four_communities(40);
-        let cfg = MlKwayConfig::default();
-        let (runs, base) = (4usize, 13u64);
-        let mut ws = RefineWorkspace::new();
-        let (win_idx, win_p, win_r) = ml_kway_best_of_in(&h, &cfg, &[], runs, base, &mut ws);
-        let mut best: Option<(usize, Partition, MlKwayResult)> = None;
-        for i in 0..runs {
-            let mut rng = seeded_rng(child_seed(base, i as u64));
-            let (p, r) = ml_kway(&h, &cfg, &[], &mut rng);
-            if best.as_ref().is_none_or(|(_, _, b)| r.cut < b.cut) {
-                best = Some((i, p, r));
-            }
-        }
-        let (idx, p, r) = best.unwrap();
-        assert_eq!(win_idx, idx);
-        assert_eq!(win_p.assignment(), p.assignment());
-        assert_eq!(win_r, r);
     }
 
     #[test]
@@ -758,18 +484,13 @@ mod tests {
     fn budgeted_kway_with_unlimited_meter_matches_unbudgeted() {
         let h = four_communities(40);
         let cfg = MlKwayConfig::default();
-        let mut rng1 = seeded_rng(4);
-        let mut rng2 = seeded_rng(4);
+        // Warm the workspace on another seed first: reuse must not leak.
         let mut ws = RefineWorkspace::new();
-        let (p1, r1) = ml_kway_in(&h, &cfg, &[], &mut rng1, &mut ws);
-        let (p2, r2) = ml_kway_budgeted_in(
-            &h,
-            &cfg,
-            &[],
-            &mut rng2,
-            &mut ws,
-            &mut BudgetMeter::unlimited(),
-        );
+        let unlimited = || BudgetMeter::unlimited();
+        let _ = ml_kway_budgeted_in(&h, &cfg, &[], &mut seeded_rng(9), &mut ws, &mut unlimited());
+        let (p1, r1) = ml_kway(&h, &cfg, &[], &mut seeded_rng(4));
+        let (p2, r2) =
+            ml_kway_budgeted_in(&h, &cfg, &[], &mut seeded_rng(4), &mut ws, &mut unlimited());
         assert_eq!(p1.assignment(), p2.assignment());
         assert_eq!(r1, r2);
         assert_eq!(r2.truncation, None);
@@ -792,7 +513,7 @@ mod tests {
         let bounds = c.bounds(&h);
         for seed in 0..4 {
             let mut rng = seeded_rng(seed);
-            let (p, r) = ml_kway_constrained(&h, &cfg, &c, &mut rng);
+            let (p, r) = ml_kway_constrained(&h, &cfg, &c, &mut rng).unwrap();
             assert!(p.validate(&h));
             for &(v, part) in c.fixed() {
                 assert_eq!(p.part(v), part, "seed {seed}");
@@ -810,7 +531,7 @@ mod tests {
         let best = (0..5)
             .map(|s| {
                 let mut rng = seeded_rng(s);
-                ml_kway_constrained(&h, &cfg, &c, &mut rng).1.cut
+                ml_kway_constrained(&h, &cfg, &c, &mut rng).unwrap().1.cut
             })
             .min()
             .unwrap();
@@ -824,7 +545,7 @@ mod tests {
         let c = Constraints::new(4, 0.1, vec![(ModuleId::new(7), 2)]).unwrap();
         let run = |seed| {
             let mut rng = seeded_rng(seed);
-            ml_kway_constrained(&h, &cfg, &c, &mut rng)
+            ml_kway_constrained(&h, &cfg, &c, &mut rng).unwrap()
         };
         let (p1, r1) = run(11);
         let (p2, r2) = run(11);
@@ -833,12 +554,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cfg.k and constraints.k() disagree")]
     fn constrained_kway_rejects_mismatched_k() {
         let h = four_communities(10);
         let cfg = MlKwayConfig::default(); // k = 4
         let c = Constraints::unconstrained(8);
-        let mut rng = seeded_rng(0);
-        let _ = ml_kway_constrained(&h, &cfg, &c, &mut rng);
+        let err = ml_kway_constrained(&h, &cfg, &c, &mut seeded_rng(0)).unwrap_err();
+        assert!(matches!(
+            err,
+            PipelineError::KMismatch {
+                expected: 4,
+                got: 8,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn out_of_range_pads_are_typed_errors() {
+        let h = four_communities(10);
+        let cfg = MlKwayConfig::default();
+        let mut ws = RefineWorkspace::new();
+        let mut run = |fixed: &[(ModuleId, PartId)]| {
+            try_ml_kway_budgeted_in(
+                &h,
+                &cfg,
+                fixed,
+                &mut seeded_rng(0),
+                &mut ws,
+                &mut BudgetMeter::unlimited(),
+            )
+            .unwrap_err()
+        };
+        assert!(matches!(
+            run(&[(ModuleId::new(40), 0)]),
+            PipelineError::FixedModuleOutOfRange { module: 40, .. }
+        ));
+        assert!(matches!(
+            run(&[(ModuleId::new(0), 4)]),
+            PipelineError::FixedPartOutOfRange { part: 4, k: 4 }
+        ));
     }
 }

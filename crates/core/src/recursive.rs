@@ -9,7 +9,7 @@
 //! sub-netlist and bisected again, recursively, yielding `k = 2^depth`
 //! parts.
 
-use crate::error::{expect_valid, PipelineError};
+use crate::error::PipelineError;
 use crate::ml::{
     try_ml_bipartition_budgeted_in, try_ml_bipartition_constrained_budgeted_in, MlConfig,
 };
@@ -41,15 +41,17 @@ pub struct RecursiveResult {
 /// sub-netlist of a region. Regions with fewer than two modules are left
 /// whole (their "split" is trivial), so the result always has exactly
 /// `2^depth` part ids (possibly with empty parts on degenerate inputs).
-///
-/// # Panics
-///
-/// Panics if `depth == 0` or `depth > 16`.
+/// Every region's bisection refines through `ws`, and one meter is shared
+/// across all of them, so the limits bound the *whole* recursive run: once
+/// exhausted, the remaining regions still split (their sub-bisections
+/// project random coarse partitions without refinement), keeping the
+/// `2^depth`-part shape.
 ///
 /// # Examples
 ///
 /// ```
-/// use mlpart_core::{recursive_ml_bisection, MlConfig};
+/// use mlpart_core::{try_recursive_ml_bisection_budgeted_in, BudgetMeter, MlConfig};
+/// use mlpart_fm::RefineWorkspace;
 /// use mlpart_hypergraph::{HypergraphBuilder, rng::seeded_rng, metrics};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,57 +64,19 @@ pub struct RecursiveResult {
 ///     b.add_net([base + 15, (base + 16) % 64])?;
 /// }
 /// let h = b.build()?;
-/// let mut rng = seeded_rng(2);
-/// let (p, r) = recursive_ml_bisection(&h, 2, &MlConfig::default(), &mut rng);
+/// let (p, r) = try_recursive_ml_bisection_budgeted_in(
+///     &h,
+///     2,
+///     &MlConfig::default(),
+///     &mut seeded_rng(2),
+///     &mut RefineWorkspace::new(),
+///     &mut BudgetMeter::unlimited(),
+/// )?;
 /// assert_eq!(p.k(), 4);
 /// assert_eq!(r.cut, metrics::cut(&h, &p));
 /// # Ok(())
 /// # }
 /// ```
-pub fn recursive_ml_bisection(
-    h: &Hypergraph,
-    depth: u32,
-    cfg: &MlConfig,
-    rng: &mut MlRng,
-) -> (Partition, RecursiveResult) {
-    let mut ws = RefineWorkspace::new();
-    recursive_ml_bisection_in(h, depth, cfg, rng, &mut ws)
-}
-
-/// [`recursive_ml_bisection`] with caller-owned scratch: every region's
-/// multilevel bisection (`2^depth − 1` of them) shares one
-/// [`RefineWorkspace`] instead of allocating its own refinement state.
-pub fn recursive_ml_bisection_in(
-    h: &Hypergraph,
-    depth: u32,
-    cfg: &MlConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> (Partition, RecursiveResult) {
-    recursive_ml_bisection_budgeted_in(h, depth, cfg, rng, ws, &mut BudgetMeter::unlimited())
-}
-
-/// [`recursive_ml_bisection_in`] under a cooperative execution budget.
-///
-/// One meter is shared across every region's multilevel bisection, so the
-/// limits bound the *whole* recursive run, not each region: once exhausted,
-/// the remaining regions still split (their sub-bisections project random
-/// coarse partitions without refinement), keeping the `2^depth`-part shape.
-pub fn recursive_ml_bisection_budgeted_in(
-    h: &Hypergraph,
-    depth: u32,
-    cfg: &MlConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> (Partition, RecursiveResult) {
-    expect_valid(try_recursive_ml_bisection_budgeted_in(
-        h, depth, cfg, rng, ws, meter,
-    ))
-}
-
-/// [`recursive_ml_bisection_budgeted_in`] returning a typed error instead
-/// of panicking.
 ///
 /// # Errors
 ///
@@ -195,7 +159,7 @@ pub fn try_recursive_ml_bisection_budgeted_in(
 /// Partitions `h` into an **arbitrary** `k` parts by recursive constrained
 /// ML bisection, honoring a full [`Constraints`] set.
 ///
-/// Where [`recursive_ml_bisection`] serves only `k = 2^depth` with uniform
+/// Where [`try_recursive_ml_bisection_budgeted_in`] serves only `k = 2^depth` with uniform
 /// halves, this driver splits each region `⌈k/2⌉ : ⌊k/2⌋` with an
 /// area target proportional to the part counts, runs every bisection under
 /// the per-level tolerance `ε′ = (1 + ε)^(1/⌈log₂ k⌉) − 1`
@@ -203,16 +167,14 @@ pub fn try_recursive_ml_bisection_budgeted_in(
 /// requested ε, and routes each fixed module to whichever side of a split
 /// contains its pinned part.
 ///
-/// # Panics
-///
-/// Panics if a fixed module is out of range (run
-/// [`preflight_constrained`](crate::preflight_constrained) first for typed
-/// errors).
+/// One meter and one workspace serve every region's bisection (exhausted
+/// regions still split, unrefined, preserving the k-part shape).
 ///
 /// # Examples
 ///
 /// ```
-/// use mlpart_core::{recursive_ml_partition, MlConfig};
+/// use mlpart_core::{try_recursive_ml_partition_budgeted_in, BudgetMeter, MlConfig};
+/// use mlpart_fm::RefineWorkspace;
 /// use mlpart_hypergraph::{Constraints, HypergraphBuilder, rng::seeded_rng, metrics};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -222,53 +184,19 @@ pub fn try_recursive_ml_bisection_budgeted_in(
 /// }
 /// let h = b.build()?;
 /// let c = Constraints::new(3, 0.1, vec![])?;
-/// let mut rng = seeded_rng(4);
-/// let (p, r) = recursive_ml_partition(&h, &MlConfig::default(), &c, &mut rng);
+/// let (p, r) = try_recursive_ml_partition_budgeted_in(
+///     &h,
+///     &MlConfig::default(),
+///     &c,
+///     &mut seeded_rng(4),
+///     &mut RefineWorkspace::new(),
+///     &mut BudgetMeter::unlimited(),
+/// )?;
 /// assert_eq!(p.k(), 3);
 /// assert_eq!(r.cut, metrics::cut(&h, &p));
 /// # Ok(())
 /// # }
 /// ```
-pub fn recursive_ml_partition(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-) -> (Partition, RecursiveResult) {
-    let mut ws = RefineWorkspace::new();
-    recursive_ml_partition_budgeted_in(
-        h,
-        cfg,
-        constraints,
-        rng,
-        &mut ws,
-        &mut BudgetMeter::unlimited(),
-    )
-}
-
-/// [`recursive_ml_partition`] with caller-owned scratch and a cooperative
-/// execution budget shared across every region's bisection (exhausted
-/// regions still split, unrefined, preserving the k-part shape).
-pub fn recursive_ml_partition_budgeted_in(
-    h: &Hypergraph,
-    cfg: &MlConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> (Partition, RecursiveResult) {
-    expect_valid(try_recursive_ml_partition_budgeted_in(
-        h,
-        cfg,
-        constraints,
-        rng,
-        ws,
-        meter,
-    ))
-}
-
-/// [`recursive_ml_partition_budgeted_in`] returning a typed error instead
-/// of panicking.
 ///
 /// # Errors
 ///
@@ -319,14 +247,7 @@ pub fn try_recursive_ml_partition_budgeted_in(
     )?;
     let p =
         Partition::from_assignment(h, k, region).ok_or(PipelineError::InvalidRegionIds { k })?;
-    #[cfg(feature = "audit")]
-    if mlpart_audit::enabled() {
-        mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
-        mlpart_audit::enforce(mlpart_audit::audit_fixed_assignment(
-            &p,
-            constraints.fixed(),
-        ));
-    }
+    crate::vcycle::audit_result(h, &p, constraints.fixed(), None);
     let result = RecursiveResult {
         cut: metrics::cut(h, &p),
         sum_of_degrees: metrics::sum_of_spans_minus_one(h, &p),
@@ -423,6 +344,41 @@ mod tests {
     use mlpart_hypergraph::rng::seeded_rng;
     use mlpart_hypergraph::HypergraphBuilder;
 
+    fn recursive_ml_bisection(
+        h: &Hypergraph,
+        depth: u32,
+        cfg: &MlConfig,
+        rng: &mut MlRng,
+    ) -> Result<(Partition, RecursiveResult), PipelineError> {
+        let mut ws = RefineWorkspace::new();
+        try_recursive_ml_bisection_budgeted_in(
+            h,
+            depth,
+            cfg,
+            rng,
+            &mut ws,
+            &mut BudgetMeter::unlimited(),
+        )
+    }
+
+    fn recursive_ml_partition(
+        h: &Hypergraph,
+        cfg: &MlConfig,
+        c: &Constraints,
+        rng: &mut MlRng,
+    ) -> (Partition, RecursiveResult) {
+        let mut ws = RefineWorkspace::new();
+        try_recursive_ml_partition_budgeted_in(
+            h,
+            cfg,
+            c,
+            rng,
+            &mut ws,
+            &mut BudgetMeter::unlimited(),
+        )
+        .expect("valid constraints")
+    }
+
     fn four_communities(size: usize) -> Hypergraph {
         let n = 4 * size;
         let mut b = HypergraphBuilder::with_unit_areas(n);
@@ -444,6 +400,7 @@ mod tests {
             .map(|s| {
                 let mut rng = seeded_rng(s);
                 recursive_ml_bisection(&h, 2, &MlConfig::default(), &mut rng)
+                    .unwrap()
                     .1
                     .cut
             })
@@ -456,7 +413,7 @@ mod tests {
     fn produces_exactly_k_parts_with_near_even_sizes() {
         let h = four_communities(25);
         let mut rng = seeded_rng(3);
-        let (p, r) = recursive_ml_bisection(&h, 2, &MlConfig::default(), &mut rng);
+        let (p, r) = recursive_ml_bisection(&h, 2, &MlConfig::default(), &mut rng).unwrap();
         assert_eq!(p.k(), 4);
         assert!(p.validate(&h));
         assert_eq!(r.cut, metrics::cut(&h, &p));
@@ -474,7 +431,7 @@ mod tests {
         let h = four_communities(16);
         let mut rng1 = seeded_rng(7);
         let mut rng2 = seeded_rng(7);
-        let (_, r1) = recursive_ml_bisection(&h, 1, &MlConfig::default(), &mut rng1);
+        let (_, r1) = recursive_ml_bisection(&h, 1, &MlConfig::default(), &mut rng1).unwrap();
         let (_, r2) = ml_bipartition(&h, &MlConfig::default(), &mut rng2);
         assert_eq!(r1.cut, r2.cut, "same seed, same single bisection");
         assert_eq!(r1.bisections, 1);
@@ -487,7 +444,7 @@ mod tests {
         b.add_net([1, 2]).unwrap();
         let h = b.build().unwrap();
         let mut rng = seeded_rng(0);
-        let (p, _) = recursive_ml_bisection(&h, 3, &MlConfig::default(), &mut rng);
+        let (p, _) = recursive_ml_bisection(&h, 3, &MlConfig::default(), &mut rng).unwrap();
         assert_eq!(p.k(), 8);
         assert!(p.validate(&h));
     }
@@ -502,14 +459,15 @@ mod tests {
             max_passes: Some(2),
             ..Budget::default()
         });
-        let (p, r) = recursive_ml_bisection_budgeted_in(
+        let (p, r) = try_recursive_ml_bisection_budgeted_in(
             &h,
             2,
             &MlConfig::default(),
             &mut rng,
             &mut ws,
             &mut meter,
-        );
+        )
+        .unwrap();
         // Two passes cannot cover three bisections' V-cycles.
         assert_eq!(
             r.truncation.expect("must truncate").limit,
@@ -521,11 +479,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "depth must be at least 1")]
-    fn rejects_zero_depth() {
+    fn rejects_zero_and_oversized_depth() {
         let h = four_communities(8);
-        let mut rng = seeded_rng(0);
-        let _ = recursive_ml_bisection(&h, 0, &MlConfig::default(), &mut rng);
+        for depth in [0, 17] {
+            let err = recursive_ml_bisection(&h, depth, &MlConfig::default(), &mut seeded_rng(0));
+            assert_eq!(err.unwrap_err(), PipelineError::BadDepth { depth });
+        }
     }
 
     #[test]

@@ -11,20 +11,17 @@
 //! to as many phases as desired". Included as a baseline so the value of
 //! *multiple* levels can be isolated experimentally.
 
-use crate::error::{expect_valid, PipelineError};
-use crate::hierarchy::fixed_mask;
-use mlpart_cluster::{
-    induce, match_clusters, match_clusters_parts, project, rebalance_bipart, MatchConfig,
-};
+use crate::error::PipelineError;
+use crate::hierarchy::{fixed_mask, Coarsener};
+use crate::vcycle::{self, Mode, Ratio, Windows};
+use mlpart_cluster::{induce, project, MatchConfig, MatchScratch};
 use mlpart_fm::{
-    fm_partition_budgeted_in, refine_budgeted_in, refine_constrained_budgeted_in, BudgetMeter,
-    FmConfig, FmResult, RefineWorkspace, Truncation,
+    refine_constrained_budgeted_in, BudgetMeter, FmConfig, FmResult, RefineWorkspace, Truncation,
 };
 use mlpart_hypergraph::rng::MlRng;
 use mlpart_hypergraph::{
-    metrics, BipartBalance, Constraints, Hypergraph, ModuleId, PartBounds, PartId, Partition,
+    metrics, Constraints, Hypergraph, ModuleId, PartBounds, PartId, Partition,
 };
-use mlpart_kway::rebalance_to_bounds;
 
 /// Result of a two-phase FM run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,18 +39,21 @@ pub struct TwoPhaseResult {
     pub truncation: Option<Truncation>,
 }
 
-/// Runs two-phase FM: one `Match` clustering, FM on the induced netlist,
-/// projection, and a final FM refinement.
+/// Runs two-phase FM with the paper's §III-B balance windows: one `Match`
+/// clustering, FM on the induced netlist, projection, and a final FM
+/// refinement, under a cooperative execution budget.
 ///
 /// `fm` configures both FM runs (engine, buckets, balance); `match_cfg`
-/// configures the single clustering pass.
+/// configures the single clustering pass. Both FM runs draw on the same
+/// meter; once exhausted, the remaining refinement is skipped while
+/// projection and rebalancing keep the result valid and feasible.
 ///
 /// # Examples
 ///
 /// ```
-/// use mlpart_core::two_phase::{two_phase_fm, TwoPhaseResult};
+/// use mlpart_core::{try_two_phase_fm_budgeted_in, BudgetMeter};
 /// use mlpart_cluster::MatchConfig;
-/// use mlpart_fm::FmConfig;
+/// use mlpart_fm::{FmConfig, RefineWorkspace};
 /// use mlpart_hypergraph::{HypergraphBuilder, rng::seeded_rng, metrics};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,55 +62,19 @@ pub struct TwoPhaseResult {
 ///     b.add_net([i, i + 1])?;
 /// }
 /// let h = b.build()?;
-/// let mut rng = seeded_rng(3);
-/// let (p, r) = two_phase_fm(&h, &FmConfig::default(), &MatchConfig::default(), &mut rng);
+/// let (p, r) = try_two_phase_fm_budgeted_in(
+///     &h,
+///     &FmConfig::default(),
+///     &MatchConfig::default(),
+///     &mut seeded_rng(3),
+///     &mut RefineWorkspace::new(),
+///     &mut BudgetMeter::unlimited(),
+/// )?;
 /// assert_eq!(r.cut, metrics::cut(&h, &p));
 /// assert!(r.coarse_modules < 32);
 /// # Ok(())
 /// # }
 /// ```
-pub fn two_phase_fm(
-    h: &Hypergraph,
-    fm: &FmConfig,
-    match_cfg: &MatchConfig,
-    rng: &mut MlRng,
-) -> (Partition, TwoPhaseResult) {
-    let mut ws = RefineWorkspace::new();
-    two_phase_fm_in(h, fm, match_cfg, rng, &mut ws)
-}
-
-/// [`two_phase_fm`] with caller-owned scratch: both FM runs share the
-/// workspace's gain/bucket allocations.
-pub fn two_phase_fm_in(
-    h: &Hypergraph,
-    fm: &FmConfig,
-    match_cfg: &MatchConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> (Partition, TwoPhaseResult) {
-    two_phase_fm_budgeted_in(h, fm, match_cfg, rng, ws, &mut BudgetMeter::unlimited())
-}
-
-/// [`two_phase_fm_in`] under a cooperative execution budget. Both FM runs
-/// draw on the same meter; once exhausted, the remaining refinement is
-/// skipped while projection and rebalancing keep the result valid and
-/// feasible. With an unlimited meter this is bit-identical to
-/// [`two_phase_fm_in`].
-pub fn two_phase_fm_budgeted_in(
-    h: &Hypergraph,
-    fm: &FmConfig,
-    match_cfg: &MatchConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> (Partition, TwoPhaseResult) {
-    expect_valid(try_two_phase_fm_budgeted_in(
-        h, fm, match_cfg, rng, ws, meter,
-    ))
-}
-
-/// [`two_phase_fm_budgeted_in`] returning a typed error instead of
-/// panicking.
 ///
 /// # Errors
 ///
@@ -125,57 +89,30 @@ pub fn try_two_phase_fm_budgeted_in(
     meter: &mut BudgetMeter,
 ) -> Result<(Partition, TwoPhaseResult), PipelineError> {
     let _obs_run = mlpart_obs::span("two_phase", &[("modules", h.num_modules().into())]);
-    // Phase 1: cluster once and partition the coarse netlist.
-    let clustering = match_clusters(h, match_cfg, rng);
-    let coarse = induce(h, &clustering)?;
-    mlpart_obs::counter(
-        "two_phase_coarse",
-        &[("coarse_modules", coarse.num_modules().into())],
-    );
-    meter.set_level_context(Some(1));
-    let (coarse_p, coarse_r) = fm_partition_budgeted_in(&coarse, None, fm, rng, ws, meter);
-
-    // Phase 2: project and refine on the original netlist.
-    let mut p = project(h, &clustering, &coarse_p)?;
-    let balance = BipartBalance::new(h, fm.balance_r);
-    let mut rebalance_moves = 0usize;
-    if !balance.is_partition_feasible(&p) {
-        rebalance_moves = rebalance_bipart(h, &mut p, &balance, rng);
-    }
-    mlpart_obs::counter(
-        "rebalance",
-        &[("level", 0u64.into()), ("moves", rebalance_moves.into())],
-    );
-    meter.set_level_context(Some(0));
-    let refine_r = refine_budgeted_in(h, &mut p, fm, rng, ws, meter);
-
-    let result = TwoPhaseResult {
-        cut: metrics::cut(h, &p),
-        coarse_cut: coarse_r.cut,
-        coarse_modules: coarse.num_modules(),
-        refine: refine_r,
-        truncation: meter.truncation(),
+    let mode = Ratio {
+        k: 2,
+        r: fm.balance_r,
     };
-    Ok((p, result))
+    two_phase(h, fm, match_cfg, &mode, &[], rng, ws, meter)
 }
 
-/// [`two_phase_fm`] generalized to [`Constraints`]: fixed modules keep their
-/// pinned side through clustering, the coarse partition, projection, and both
-/// refinement runs, and balance follows the constraints' ε window instead of
-/// `fm.balance_r`.
+/// [`try_two_phase_fm_budgeted_in`] generalized to [`Constraints`]: fixed
+/// modules keep their pinned side through clustering (same-part pins may
+/// merge, cross-part pins may not), the coarse partition, projection, and
+/// both refinement runs, and balance follows the constraints' ε window
+/// instead of `fm.balance_r`.
 ///
 /// Only `k = 2` constraints are accepted — two-phase FM is a bipartitioning
 /// baseline. Unconstrained runs are comparable rather than byte-identical to
-/// [`two_phase_fm`]: the initial coarse partition is drawn by this driver
-/// (so pins can seed it) rather than inside FM, which shifts the RNG
-/// schedule.
+/// [`try_two_phase_fm_budgeted_in`]: the initial coarse partition is seeded
+/// from the pins, which shifts the RNG schedule.
 ///
 /// # Examples
 ///
 /// ```
-/// use mlpart_core::two_phase::two_phase_fm_constrained;
+/// use mlpart_core::{try_two_phase_fm_constrained_budgeted_in, BudgetMeter};
 /// use mlpart_cluster::MatchConfig;
-/// use mlpart_fm::FmConfig;
+/// use mlpart_fm::{FmConfig, RefineWorkspace};
 /// use mlpart_hypergraph::{Constraints, HypergraphBuilder, ModuleId, rng::seeded_rng};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -185,70 +122,19 @@ pub fn try_two_phase_fm_budgeted_in(
 /// }
 /// let h = b.build()?;
 /// let c = Constraints::new(2, 0.2, vec![(ModuleId::new(0), 1)])?;
-/// let mut rng = seeded_rng(3);
-/// let (p, _) = two_phase_fm_constrained(&h, &FmConfig::default(), &MatchConfig::default(), &c, &mut rng);
+/// let (p, _) = try_two_phase_fm_constrained_budgeted_in(
+///     &h,
+///     &FmConfig::default(),
+///     &MatchConfig::default(),
+///     &c,
+///     &mut seeded_rng(3),
+///     &mut RefineWorkspace::new(),
+///     &mut BudgetMeter::unlimited(),
+/// )?;
 /// assert_eq!(p.part(ModuleId::new(0)), 1);
 /// # Ok(())
 /// # }
 /// ```
-///
-/// # Panics
-///
-/// Panics if `constraints.k() != 2` or a fixed module is out of range.
-pub fn two_phase_fm_constrained(
-    h: &Hypergraph,
-    fm: &FmConfig,
-    match_cfg: &MatchConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-) -> (Partition, TwoPhaseResult) {
-    let mut ws = RefineWorkspace::new();
-    two_phase_fm_constrained_in(h, fm, match_cfg, constraints, rng, &mut ws)
-}
-
-/// [`two_phase_fm_constrained`] with caller-owned scratch.
-pub fn two_phase_fm_constrained_in(
-    h: &Hypergraph,
-    fm: &FmConfig,
-    match_cfg: &MatchConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> (Partition, TwoPhaseResult) {
-    two_phase_fm_constrained_budgeted_in(
-        h,
-        fm,
-        match_cfg,
-        constraints,
-        rng,
-        ws,
-        &mut BudgetMeter::unlimited(),
-    )
-}
-
-/// [`two_phase_fm_constrained_in`] under a cooperative execution budget.
-pub fn two_phase_fm_constrained_budgeted_in(
-    h: &Hypergraph,
-    fm: &FmConfig,
-    match_cfg: &MatchConfig,
-    constraints: &Constraints,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-    meter: &mut BudgetMeter,
-) -> (Partition, TwoPhaseResult) {
-    expect_valid(try_two_phase_fm_constrained_budgeted_in(
-        h,
-        fm,
-        match_cfg,
-        constraints,
-        rng,
-        ws,
-        meter,
-    ))
-}
-
-/// [`two_phase_fm_constrained_budgeted_in`] returning a typed error instead
-/// of panicking.
 ///
 /// # Errors
 ///
@@ -283,42 +169,48 @@ pub fn try_two_phase_fm_constrained_budgeted_in(
             ("fixed", fixed.len().into()),
         ],
     );
-    let bounds_for = |net: &Hypergraph| {
-        PartBounds::around_targets(&[target0, total - target0], total, net.max_area(), epsilon)
+    let mode = Windows {
+        k: 2,
+        bounds: |net: &Hypergraph| {
+            PartBounds::around_targets(&[target0, total - target0], total, net.max_area(), epsilon)
+        },
     };
+    two_phase(h, fm, match_cfg, &mode, fixed, rng, ws, meter)
+}
 
-    // Phase 1: cluster once (same-part pins may merge, cross-part pins may
-    // not) and partition the induced netlist from a pin-seeded start.
-    let clustering = if fixed.is_empty() {
-        match_clusters(h, match_cfg, rng)
-    } else {
-        let mut seed: Vec<Option<PartId>> = vec![None; h.num_modules()];
-        for &(v, p) in fixed {
-            seed[v.index()] = Some(p);
-        }
-        match_clusters_parts(h, match_cfg, Some(seed.as_slice()), rng)
-    };
+/// The single-level flow under `mode`: cluster once, partition the induced
+/// netlist, project, rebalance and refine on `h`.
+#[allow(clippy::too_many_arguments)]
+fn two_phase<M: Mode>(
+    h: &Hypergraph,
+    fm: &FmConfig,
+    match_cfg: &MatchConfig,
+    mode: &M,
+    fixed: &[(ModuleId, PartId)],
+    rng: &mut MlRng,
+    ws: &mut RefineWorkspace,
+    meter: &mut BudgetMeter,
+) -> Result<(Partition, TwoPhaseResult), PipelineError> {
+    // Phase 1: cluster once and partition the coarse netlist.
+    let pins = mode.pins();
+    let clustering = pins.cluster(
+        h,
+        match_cfg,
+        Coarsener::PaperMatch,
+        fixed,
+        rng,
+        &mut MatchScratch::new(),
+    );
     let coarse = induce(h, &clustering)?;
-    let mut coarse_fixed: Vec<(ModuleId, PartId)> = fixed
-        .iter()
-        .map(|&(v, p)| (ModuleId::new(clustering.cluster_of(v) as usize), p))
-        .collect();
-    coarse_fixed.sort_unstable_by_key(|&(v, _)| v);
-    coarse_fixed.dedup_by(|a, b| {
-        debug_assert!(a.0 != b.0 || a.1 == b.1, "cross-part pins merged");
-        a.0 == b.0
-    });
+    let coarse_fixed = pins.carry(fixed, &clustering);
     mlpart_obs::counter(
         "two_phase_coarse",
         &[("coarse_modules", coarse.num_modules().into())],
     );
-    let coarse_bounds = bounds_for(&coarse);
-    let coarse_mask = fixed_mask(&coarse_fixed, coarse.num_modules());
+    let coarse_bounds = mode.bounds(&coarse);
     meter.set_level_context(Some(1));
-    let mut coarse_p = Partition::random_fixed(&coarse, 2, &coarse_fixed, rng);
-    if !coarse_bounds.is_partition_feasible(&coarse_p) {
-        let _ = rebalance_to_bounds(&coarse, &mut coarse_p, &coarse_fixed, &coarse_bounds, rng);
-    }
+    let mut coarse_p = vcycle::start(mode, &coarse, &coarse_fixed, &coarse_bounds, rng);
+    let coarse_mask = fixed_mask(&coarse_fixed, coarse.num_modules());
     let coarse_r = refine_constrained_budgeted_in(
         &coarse,
         &mut coarse_p,
@@ -332,10 +224,10 @@ pub fn try_two_phase_fm_constrained_budgeted_in(
 
     // Phase 2: project and refine on the original netlist.
     let mut p = project(h, &clustering, &coarse_p)?;
-    let bounds = bounds_for(h);
+    let bounds = mode.bounds(h);
     let mut rebalance_moves = 0usize;
     if !bounds.is_partition_feasible(&p) {
-        rebalance_moves = rebalance_to_bounds(h, &mut p, fixed, &bounds, rng);
+        rebalance_moves = mode.rebalance(h, &mut p, fixed, &bounds, rng);
     }
     mlpart_obs::counter(
         "rebalance",
@@ -344,15 +236,7 @@ pub fn try_two_phase_fm_constrained_budgeted_in(
     meter.set_level_context(Some(0));
     let mask = fixed_mask(fixed, h.num_modules());
     let refine_r = refine_constrained_budgeted_in(h, &mut p, fm, &bounds, &mask, rng, ws, meter);
-
-    #[cfg(feature = "audit")]
-    if mlpart_audit::enabled() {
-        mlpart_audit::enforce(mlpart_audit::audit_partition(h, &p));
-        mlpart_audit::enforce(mlpart_audit::audit_fixed_assignment(&p, fixed));
-        let (lo, hi): (Vec<u64>, Vec<u64>) =
-            (0..2u32).map(|q| (bounds.lo(q), bounds.hi(q))).unzip();
-        mlpart_audit::enforce(mlpart_audit::audit_part_bounds(&p, &lo, &hi));
-    }
+    vcycle::audit_result(h, &p, fixed, Some(&bounds));
     let result = TwoPhaseResult {
         cut: metrics::cut(h, &p),
         coarse_cut: coarse_r.cut,
@@ -368,7 +252,37 @@ mod tests {
     use super::*;
     use mlpart_fm::fm_partition;
     use mlpart_hypergraph::rng::seeded_rng;
-    use mlpart_hypergraph::HypergraphBuilder;
+    use mlpart_hypergraph::{BipartBalance, HypergraphBuilder};
+
+    fn two_phase_fm(
+        h: &Hypergraph,
+        fm: &FmConfig,
+        match_cfg: &MatchConfig,
+        rng: &mut MlRng,
+    ) -> (Partition, TwoPhaseResult) {
+        let mut ws = RefineWorkspace::new();
+        try_two_phase_fm_budgeted_in(
+            h,
+            fm,
+            match_cfg,
+            rng,
+            &mut ws,
+            &mut BudgetMeter::unlimited(),
+        )
+        .expect("valid netlist")
+    }
+
+    fn two_phase_fm_constrained(
+        h: &Hypergraph,
+        fm: &FmConfig,
+        match_cfg: &MatchConfig,
+        c: &Constraints,
+        rng: &mut MlRng,
+    ) -> Result<(Partition, TwoPhaseResult), PipelineError> {
+        let mut ws = RefineWorkspace::new();
+        let mut meter = BudgetMeter::unlimited();
+        try_two_phase_fm_constrained_budgeted_in(h, fm, match_cfg, c, rng, &mut ws, &mut meter)
+    }
 
     fn two_communities(half: usize) -> Hypergraph {
         let mut b = HypergraphBuilder::with_unit_areas(2 * half);
@@ -455,7 +369,7 @@ mod tests {
 
     #[test]
     fn budgeted_two_phase_truncates_and_stays_feasible() {
-        use mlpart_fm::{Budget, BudgetLimit, BudgetMeter};
+        use mlpart_fm::{Budget, BudgetLimit};
         let h = two_communities(50);
         let fm = FmConfig::default();
         let mut rng = seeded_rng(8);
@@ -464,14 +378,15 @@ mod tests {
             max_passes: Some(1),
             ..Budget::default()
         });
-        let (p, r) = two_phase_fm_budgeted_in(
+        let (p, r) = try_two_phase_fm_budgeted_in(
             &h,
             &fm,
             &MatchConfig::default(),
             &mut rng,
             &mut ws,
             &mut meter,
-        );
+        )
+        .unwrap();
         assert_eq!(
             r.truncation.expect("must truncate").limit,
             BudgetLimit::Passes
@@ -510,7 +425,8 @@ mod tests {
                 &MatchConfig::default(),
                 &c,
                 &mut rng,
-            );
+            )
+            .unwrap();
             assert!(p.validate(&h));
             for &(v, part) in c.fixed() {
                 assert_eq!(p.part(v), part, "seed {seed}");
@@ -534,6 +450,7 @@ mod tests {
                 &c,
                 &mut rng,
             )
+            .unwrap()
         };
         let (p1, r1) = run(9);
         let (p2, r2) = run(9);
@@ -542,17 +459,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "two-phase FM requires k = 2")]
     fn constrained_two_phase_rejects_kway_constraints() {
         let h = two_communities(8);
         let c = Constraints::unconstrained(3);
-        let mut rng = seeded_rng(0);
-        let _ = two_phase_fm_constrained(
+        let err = two_phase_fm_constrained(
             &h,
             &FmConfig::default(),
             &MatchConfig::default(),
             &c,
-            &mut rng,
+            &mut seeded_rng(0),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "two-phase FM requires k = 2 (expected 2, got 3)"
         );
     }
 }

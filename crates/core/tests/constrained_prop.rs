@@ -6,13 +6,16 @@
 
 use mlpart_cluster::MatchConfig;
 use mlpart_core::{
-    ml_bipartition, ml_bipartition_constrained, ml_kway, ml_kway_constrained,
-    recursive_ml_bisection, recursive_ml_partition, two_phase_fm, two_phase_fm_constrained,
-    Constraints, MlConfig, MlKwayConfig,
+    ml_bipartition, ml_bipartition_budgeted_in, ml_kway,
+    try_ml_bipartition_constrained_budgeted_in, try_ml_kway_constrained_budgeted_in,
+    try_recursive_ml_bisection_budgeted_in, try_recursive_ml_partition_budgeted_in,
+    try_two_phase_fm_budgeted_in, try_two_phase_fm_constrained_budgeted_in, Budget, BudgetMeter,
+    Constraints, LevelStats, MlConfig, MlKwayConfig, MlKwayResult, MlResult, PipelineError,
+    RecursiveResult, TwoPhaseResult,
 };
-use mlpart_fm::FmConfig;
-use mlpart_hypergraph::rng::seeded_rng;
-use mlpart_hypergraph::{metrics, Hypergraph, HypergraphBuilder, ModuleId, PartId};
+use mlpart_fm::{FmConfig, PassStats, RefineWorkspace};
+use mlpart_hypergraph::rng::{seeded_rng, MlRng};
+use mlpart_hypergraph::{metrics, Hypergraph, HypergraphBuilder, ModuleId, PartId, Partition};
 use proptest::prelude::*;
 
 fn arb_netlist() -> impl Strategy<Value = (Vec<u64>, Vec<Vec<usize>>)> {
@@ -41,6 +44,81 @@ fn pins_from_bits(n: usize, k: u32, pin_bits: u64) -> Vec<(ModuleId, PartId)> {
         .collect()
 }
 
+/// One run of each pipeline with a fresh workspace and no budget.
+type Run<R> = Result<(Partition, R), PipelineError>;
+
+fn ml_bipartition_constrained(
+    h: &Hypergraph,
+    cfg: &MlConfig,
+    c: &Constraints,
+    rng: &mut MlRng,
+) -> Run<MlResult> {
+    let (ws, meter) = (&mut RefineWorkspace::new(), &mut BudgetMeter::unlimited());
+    let target0 = h.total_area() / 2;
+    try_ml_bipartition_constrained_budgeted_in(
+        h,
+        cfg,
+        c.fixed(),
+        target0,
+        c.epsilon(),
+        rng,
+        ws,
+        meter,
+    )
+}
+
+fn ml_kway_constrained(
+    h: &Hypergraph,
+    cfg: &MlKwayConfig,
+    c: &Constraints,
+    rng: &mut MlRng,
+) -> Run<MlKwayResult> {
+    let (ws, meter) = (&mut RefineWorkspace::new(), &mut BudgetMeter::unlimited());
+    try_ml_kway_constrained_budgeted_in(h, cfg, c, rng, ws, meter)
+}
+
+fn recursive_ml_bisection(
+    h: &Hypergraph,
+    depth: u32,
+    cfg: &MlConfig,
+    rng: &mut MlRng,
+) -> Run<RecursiveResult> {
+    let (ws, meter) = (&mut RefineWorkspace::new(), &mut BudgetMeter::unlimited());
+    try_recursive_ml_bisection_budgeted_in(h, depth, cfg, rng, ws, meter)
+}
+
+fn recursive_ml_partition(
+    h: &Hypergraph,
+    cfg: &MlConfig,
+    c: &Constraints,
+    rng: &mut MlRng,
+) -> Run<RecursiveResult> {
+    let (ws, meter) = (&mut RefineWorkspace::new(), &mut BudgetMeter::unlimited());
+    try_recursive_ml_partition_budgeted_in(h, cfg, c, rng, ws, meter)
+}
+
+fn two_phase_fm(h: &Hypergraph, rng: &mut MlRng) -> Run<TwoPhaseResult> {
+    let (ws, meter) = (&mut RefineWorkspace::new(), &mut BudgetMeter::unlimited());
+    try_two_phase_fm_budgeted_in(
+        h,
+        &FmConfig::default(),
+        &MatchConfig::default(),
+        rng,
+        ws,
+        meter,
+    )
+}
+
+fn two_phase_fm_constrained(
+    h: &Hypergraph,
+    c: &Constraints,
+    rng: &mut MlRng,
+) -> Run<TwoPhaseResult> {
+    let (ws, meter) = (&mut RefineWorkspace::new(), &mut BudgetMeter::unlimited());
+    let (fm, match_cfg) = (FmConfig::default(), MatchConfig::default());
+    try_two_phase_fm_constrained_budgeted_in(h, &fm, &match_cfg, c, rng, ws, meter)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -57,7 +135,7 @@ proptest! {
         let c = Constraints::new(2, 2.0, fixed).expect("valid pins");
         let cfg = MlConfig { coarsen_threshold: 8, ..MlConfig::default() };
         let mut rng = seeded_rng(seed);
-        let (p, r) = ml_bipartition_constrained(&h, &cfg, &c, &mut rng);
+        let (p, r) = ml_bipartition_constrained(&h, &cfg, &c, &mut rng).expect("valid");
         prop_assert!(p.validate(&h));
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
         for &(v, part) in c.fixed() {
@@ -78,7 +156,7 @@ proptest! {
         let c = Constraints::new(k, 2.0, fixed).expect("valid pins");
         let cfg = MlKwayConfig { k, coarsen_threshold: 8, ..MlKwayConfig::default() };
         let mut rng = seeded_rng(seed);
-        let (p, r) = ml_kway_constrained(&h, &cfg, &c, &mut rng);
+        let (p, r) = ml_kway_constrained(&h, &cfg, &c, &mut rng).expect("valid");
         prop_assert!(p.validate(&h));
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
         for &(v, part) in c.fixed() {
@@ -100,7 +178,7 @@ proptest! {
         let c = Constraints::new(k, 2.0, fixed).expect("valid pins");
         let cfg = MlConfig { coarsen_threshold: 8, ..MlConfig::default() };
         let mut rng = seeded_rng(seed);
-        let (p, r) = recursive_ml_partition(&h, &cfg, &c, &mut rng);
+        let (p, r) = recursive_ml_partition(&h, &cfg, &c, &mut rng).expect("valid");
         prop_assert!(p.validate(&h));
         prop_assert_eq!(p.k(), k);
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
@@ -120,9 +198,7 @@ proptest! {
         let fixed = pins_from_bits(h.num_modules(), 2, pin_bits);
         let c = Constraints::new(2, 2.0, fixed).expect("valid pins");
         let mut rng = seeded_rng(seed);
-        let (p, r) = two_phase_fm_constrained(
-            &h, &FmConfig::default(), &MatchConfig::default(), &c, &mut rng,
-        );
+        let (p, r) = two_phase_fm_constrained(&h, &c, &mut rng).expect("valid");
         prop_assert!(p.validate(&h));
         prop_assert_eq!(r.cut, metrics::cut(&h, &p));
         for &(v, part) in c.fixed() {
@@ -144,7 +220,7 @@ proptest! {
         let cfg = MlConfig { coarsen_threshold: 8, ..MlConfig::default() };
         let run = |s| {
             let mut rng = seeded_rng(s);
-            ml_bipartition_constrained(&h, &cfg, &c, &mut rng)
+            ml_bipartition_constrained(&h, &cfg, &c, &mut rng).expect("valid")
         };
         let (p1, r1) = run(seed);
         let (p2, r2) = run(seed);
@@ -187,12 +263,12 @@ fn legacy_cuts_match_prerefactor_fixtures() {
     }
     for (seed, &expected) in FIXTURE_RECURSIVE_CUTS.iter().enumerate() {
         let mut rng = seeded_rng(seed as u64);
-        let (_, r) = recursive_ml_bisection(&h, 2, &MlConfig::default(), &mut rng);
+        let (_, r) = recursive_ml_bisection(&h, 2, &MlConfig::default(), &mut rng).unwrap();
         assert_eq!(r.cut, expected, "recursive_ml_bisection seed {seed}");
     }
     for (seed, &expected) in FIXTURE_TWO_PHASE_CUTS.iter().enumerate() {
         let mut rng = seeded_rng(seed as u64);
-        let (_, r) = two_phase_fm(&h, &FmConfig::default(), &MatchConfig::default(), &mut rng);
+        let (_, r) = two_phase_fm(&h, &mut rng).unwrap();
         assert_eq!(r.cut, expected, "two_phase_fm seed {seed}");
     }
 }
@@ -227,6 +303,7 @@ fn print_fixture_cuts() {
         .map(|s| {
             let mut rng = seeded_rng(s);
             recursive_ml_bisection(&h, 2, &MlConfig::default(), &mut rng)
+                .unwrap()
                 .1
                 .cut
         })
@@ -234,10 +311,417 @@ fn print_fixture_cuts() {
     let tp: Vec<u64> = (0..4)
         .map(|s| {
             let mut rng = seeded_rng(s);
-            two_phase_fm(&h, &FmConfig::default(), &MatchConfig::default(), &mut rng)
-                .1
-                .cut
+            two_phase_fm(&h, &mut rng).unwrap().1.cut
         })
         .collect();
     println!("ML {ml:?} KWAY {kway:?} RECURSIVE {rec:?} TWO_PHASE {tp:?}");
+}
+
+/// FNV-1a over a stream of `u64` words (little-endian bytes).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn assignment(&mut self, p: &Partition) {
+        self.word(u64::from(p.k()));
+        for &part in p.assignment() {
+            self.word(u64::from(part));
+        }
+    }
+
+    fn levels(&mut self, stats: &[LevelStats]) {
+        self.word(stats.len() as u64);
+        for s in stats {
+            for w in [
+                s.level as u64,
+                s.modules as u64,
+                s.cut_before,
+                s.cut_after,
+                s.attempted_moves,
+                s.kept_moves,
+                s.rebalance_moves as u64,
+                s.passes as u64,
+            ] {
+                self.word(w);
+            }
+        }
+    }
+
+    fn passes(&mut self, stats: &[PassStats]) {
+        self.word(stats.len() as u64);
+        for s in stats {
+            for w in [
+                s.cut_before,
+                s.cut_after,
+                s.attempted_moves as u64,
+                s.kept_moves as u64,
+            ] {
+                self.word(w);
+            }
+        }
+    }
+
+    fn ml(mut self, p: &Partition, r: &MlResult) -> u64 {
+        self.assignment(p);
+        self.word(r.cut);
+        self.word(r.total_passes as u64);
+        self.word(r.rebalance_moves as u64);
+        self.levels(&r.level_stats);
+        self.word(u64::from(r.truncation.is_some()));
+        self.0
+    }
+
+    fn kway(mut self, p: &Partition, r: &MlKwayResult) -> u64 {
+        self.assignment(p);
+        self.word(r.cut);
+        self.word(r.sum_of_degrees);
+        self.word(r.total_passes as u64);
+        self.word(r.rebalance_moves as u64);
+        self.levels(&r.level_stats);
+        self.0
+    }
+
+    fn recursive(mut self, p: &Partition, r: &RecursiveResult) -> u64 {
+        self.assignment(p);
+        self.word(r.cut);
+        self.word(r.bisections as u64);
+        self.0
+    }
+
+    fn two_phase(mut self, p: &Partition, r: &TwoPhaseResult) -> u64 {
+        self.assignment(p);
+        self.word(r.cut);
+        self.word(r.coarse_cut);
+        self.word(r.coarse_modules as u64);
+        self.passes(&r.refine.pass_stats);
+        self.0
+    }
+}
+
+/// `count` pins spread over `h`, module `i·⌊n/count⌋ + 3` pinned to part
+/// `i mod k`.
+fn spread_pins(h: &Hypergraph, k: u32, count: usize) -> Vec<(ModuleId, PartId)> {
+    let step = h.num_modules() / count;
+    (0..count)
+        .map(|i| (ModuleId::new(i * step + 3), i as u32 % k))
+        .collect()
+}
+
+/// One golden cell: its name and the digest of seeds 0..4, computed through
+/// the public drivers on `syn-balu` (generator seed 1).
+fn golden_cells() -> Vec<(&'static str, [u64; 4])> {
+    let balu = mlpart_gen::by_name("syn-balu").expect("in suite");
+    let (h, pads) = balu.generate_with_pads(1);
+    let total = h.total_area();
+    let pad_fixed: Vec<(ModuleId, PartId)> = pads
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (v, i as u32 % 4))
+        .collect();
+    let pins2 = spread_pins(&h, 2, 6);
+    let ml_c = MlConfig::clip().with_ratio(0.5);
+    let unlimited = BudgetMeter::unlimited;
+    let seeds = |f: &dyn Fn(&mut MlRng, &mut RefineWorkspace) -> u64| -> [u64; 4] {
+        std::array::from_fn(|s| f(&mut seeded_rng(s as u64), &mut RefineWorkspace::new()))
+    };
+    vec![
+        (
+            "ml_f",
+            seeds(&|rng, _| {
+                let (p, r) = ml_bipartition(&h, &MlConfig::fm(), rng);
+                Fnv::new().ml(&p, &r)
+            }),
+        ),
+        (
+            "ml_c",
+            seeds(&|rng, _| {
+                let (p, r) = ml_bipartition(&h, &ml_c, rng);
+                Fnv::new().ml(&p, &r)
+            }),
+        ),
+        (
+            "ml_kway",
+            seeds(&|rng, _| {
+                let (p, r) = ml_kway(&h, &MlKwayConfig::default(), &[], rng);
+                Fnv::new().kway(&p, &r)
+            }),
+        ),
+        (
+            "ml_kway_pads",
+            seeds(&|rng, _| {
+                let (p, r) = ml_kway(&h, &MlKwayConfig::default(), &pad_fixed, rng);
+                Fnv::new().kway(&p, &r)
+            }),
+        ),
+        (
+            "recursive_depth2",
+            seeds(&|rng, ws| {
+                let (p, r) = try_recursive_ml_bisection_budgeted_in(
+                    &h,
+                    2,
+                    &MlConfig::default(),
+                    rng,
+                    ws,
+                    &mut unlimited(),
+                )
+                .expect("valid");
+                Fnv::new().recursive(&p, &r)
+            }),
+        ),
+        (
+            "two_phase",
+            seeds(&|rng, ws| {
+                let (p, r) = try_two_phase_fm_budgeted_in(
+                    &h,
+                    &FmConfig::default(),
+                    &MatchConfig::default(),
+                    rng,
+                    ws,
+                    &mut unlimited(),
+                )
+                .expect("valid");
+                Fnv::new().two_phase(&p, &r)
+            }),
+        ),
+        (
+            "constrained_k2_eps0.1_pins",
+            seeds(&|rng, ws| {
+                let (p, r) = try_ml_bipartition_constrained_budgeted_in(
+                    &h,
+                    &ml_c,
+                    &pins2,
+                    total / 2,
+                    0.1,
+                    rng,
+                    ws,
+                    &mut unlimited(),
+                )
+                .expect("valid");
+                Fnv::new().ml(&p, &r)
+            }),
+        ),
+        (
+            "constrained_k4_pins",
+            seeds(&|rng, ws| {
+                let c = Constraints::new(4, 0.1, spread_pins(&h, 4, 8)).expect("valid");
+                let cfg = MlKwayConfig {
+                    matching_ratio: 0.5,
+                    ..MlKwayConfig::default()
+                };
+                let (p, r) =
+                    try_ml_kway_constrained_budgeted_in(&h, &cfg, &c, rng, ws, &mut unlimited())
+                        .expect("valid");
+                Fnv::new().kway(&p, &r)
+            }),
+        ),
+        (
+            "recursive_k3_pins",
+            seeds(&|rng, ws| {
+                let c = Constraints::new(3, 0.1, spread_pins(&h, 3, 6)).expect("valid");
+                let (p, r) = try_recursive_ml_partition_budgeted_in(
+                    &h,
+                    &ml_c,
+                    &c,
+                    rng,
+                    ws,
+                    &mut unlimited(),
+                )
+                .expect("valid");
+                Fnv::new().recursive(&p, &r)
+            }),
+        ),
+        (
+            "recursive_k8_pins",
+            seeds(&|rng, ws| {
+                let c = Constraints::new(8, 0.2, spread_pins(&h, 8, 16)).expect("valid");
+                let (p, r) = try_recursive_ml_partition_budgeted_in(
+                    &h,
+                    &ml_c,
+                    &c,
+                    rng,
+                    ws,
+                    &mut unlimited(),
+                )
+                .expect("valid");
+                Fnv::new().recursive(&p, &r)
+            }),
+        ),
+        (
+            "two_phase_constrained",
+            seeds(&|rng, ws| {
+                let c = Constraints::new(2, 0.1, pins2.clone()).expect("valid");
+                let (p, r) = try_two_phase_fm_constrained_budgeted_in(
+                    &h,
+                    &FmConfig::default(),
+                    &MatchConfig::default(),
+                    &c,
+                    rng,
+                    ws,
+                    &mut unlimited(),
+                )
+                .expect("valid");
+                Fnv::new().two_phase(&p, &r)
+            }),
+        ),
+        (
+            "ml_c_max_passes2",
+            seeds(&|rng, ws| {
+                let mut meter = BudgetMeter::new(&Budget {
+                    max_passes: Some(2),
+                    ..Budget::default()
+                });
+                let (p, r) = ml_bipartition_budgeted_in(&h, &ml_c, rng, ws, &mut meter);
+                Fnv::new().ml(&p, &r)
+            }),
+        ),
+    ]
+}
+
+/// Golden digests of assignment plus per-level statistics for every
+/// pipeline cell, legacy and constrained, recorded before the legacy and
+/// constrained drivers shared one body. Any RNG-order slip changes them.
+#[test]
+fn golden_digests_match_on_syn_balu() {
+    let got = golden_cells();
+    assert_eq!(got.len(), GOLDEN_DIGESTS.len());
+    for ((name, digests), &(want_name, want)) in got.iter().zip(GOLDEN_DIGESTS) {
+        assert_eq!(*name, want_name);
+        assert_eq!(*digests, want, "{name}");
+    }
+}
+
+/// Regenerate with `cargo test -p mlpart-core --test constrained_prop --
+/// --ignored --nocapture print_golden_digests` only when a change *intends*
+/// to alter pipeline output.
+const GOLDEN_DIGESTS: &[(&str, [u64; 4])] = &[
+    (
+        "ml_f",
+        [
+            0x317bc1f56b381b1a,
+            0xc41a5541637eecbe,
+            0x5aa2379654655ada,
+            0x3b71a4f89a2dbdd7,
+        ],
+    ),
+    (
+        "ml_c",
+        [
+            0xdb0e73fc72309812,
+            0x6e09c7f2ac113400,
+            0x20c12d7a2dd81da8,
+            0x5f2de77a0ac4f0c0,
+        ],
+    ),
+    (
+        "ml_kway",
+        [
+            0x803c643394a6f0f8,
+            0x283e026ac7826c44,
+            0x190ec2d928eedcc4,
+            0x76e35eaaac45b9a7,
+        ],
+    ),
+    (
+        "ml_kway_pads",
+        [
+            0x995637f7cfb9846a,
+            0x4377f76487c97e9c,
+            0x0afae528a52f0cbe,
+            0x4f63dcac3eff5f72,
+        ],
+    ),
+    (
+        "recursive_depth2",
+        [
+            0x6c544a788073071d,
+            0x1e5b2f81ed9a5c61,
+            0xc66686d100b44f1a,
+            0xd4b5e12a4ee554a0,
+        ],
+    ),
+    (
+        "two_phase",
+        [
+            0x7a201752915e484c,
+            0x850a62543a39e44c,
+            0xd809a086fbc684e7,
+            0x5a89a1525b57a46c,
+        ],
+    ),
+    (
+        "constrained_k2_eps0.1_pins",
+        [
+            0x8137847ea19fa33f,
+            0x401224cba254b77d,
+            0x03b3ec633112e1bc,
+            0xe3c455c78205500d,
+        ],
+    ),
+    (
+        "constrained_k4_pins",
+        [
+            0xf5ebb8680e1f039f,
+            0x81822eaca5688316,
+            0x7053d1630c1a3c46,
+            0x1f7c27e72f6dc28a,
+        ],
+    ),
+    (
+        "recursive_k3_pins",
+        [
+            0x2412913026d69c1a,
+            0x10acb09b8692c3a0,
+            0x820aa93f9fffcfc4,
+            0x3dc85160a9a55ef9,
+        ],
+    ),
+    (
+        "recursive_k8_pins",
+        [
+            0x66231eeb6fa37173,
+            0x43252eb0dbc3e374,
+            0x43e004329c2bb953,
+            0x6eb21b8c54347b32,
+        ],
+    ),
+    (
+        "two_phase_constrained",
+        [
+            0x753c6492da393148,
+            0x4a9efcb6c5daa3a7,
+            0xfd3662b84ddd204c,
+            0xcfe406ddd1a9f05d,
+        ],
+    ),
+    (
+        "ml_c_max_passes2",
+        [
+            0xc3de55ab99a1f8ce,
+            0x69516e903ed0d04a,
+            0x505ee401e1d02a07,
+            0x6b74ede4c996b854,
+        ],
+    ),
+];
+
+/// Prints [`GOLDEN_DIGESTS`] in source form.
+#[test]
+#[ignore]
+fn print_golden_digests() {
+    for (name, d) in golden_cells() {
+        println!(
+            "    (\"{name}\", [{:#018x}, {:#018x}, {:#018x}, {:#018x}]),",
+            d[0], d[1], d[2], d[3]
+        );
+    }
 }

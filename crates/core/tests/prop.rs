@@ -3,7 +3,10 @@
 //! consistently-reported partitions, the hierarchy respects its threshold,
 //! and the whole pipeline is deterministic per seed.
 
-use mlpart_core::{ml_bipartition, ml_bipartition_in, ml_kway, Hierarchy, MlConfig, MlKwayConfig};
+use mlpart_core::{
+    ml_bipartition, ml_bipartition_budgeted_in, ml_kway, BudgetMeter, Hierarchy, MlConfig,
+    MlKwayConfig,
+};
 use mlpart_fm::RefineWorkspace;
 use mlpart_hypergraph::rng::seeded_rng;
 use mlpart_hypergraph::{metrics, BipartBalance, Hypergraph, HypergraphBuilder, KwayBalance};
@@ -86,7 +89,7 @@ proptest! {
             ..MlConfig::default()
         };
         let mut rng = seeded_rng(seed);
-        let hier = Hierarchy::coarsen(&h, &cfg, &[], &mut rng);
+        let hier = Hierarchy::try_coarsen(&h, &cfg, &[], &mut rng).expect("valid netlist");
         // Either the coarsest netlist is at/below T, or coarsening stopped
         // on the stall guard — in which case one more Match pass would not
         // meaningfully shrink it; verify levels at least never grow.
@@ -139,9 +142,11 @@ fn multi_try_initial_partitioning_is_deterministic() {
     // A reused workspace must not perturb the tie-break either.
     let mut ws = RefineWorkspace::new();
     let mut rng = seeded_rng(42);
-    let (p3, r3) = ml_bipartition_in(&h, &cfg, &mut rng, &mut ws);
+    let (p3, r3) =
+        ml_bipartition_budgeted_in(&h, &cfg, &mut rng, &mut ws, &mut BudgetMeter::unlimited());
     let mut rng = seeded_rng(42);
-    let (p4, r4) = ml_bipartition_in(&h, &cfg, &mut rng, &mut ws);
+    let (p4, r4) =
+        ml_bipartition_budgeted_in(&h, &cfg, &mut rng, &mut ws, &mut BudgetMeter::unlimited());
     assert_eq!(p1.assignment(), p3.assignment());
     assert_eq!(p3.assignment(), p4.assignment());
     assert_eq!(r1, r3);

@@ -1,5 +1,5 @@
-//! Supervised retries and resumable batches over [`try_run_starts`]'s
-//! machinery.
+//! Supervised retries and resumable batches over the machinery of
+//! [`try_run_starts`](crate::try_run_starts).
 //!
 //! [`run_supervised`] is the crash-safe batch driver: each start gets up to
 //! [`RetryPolicy::max_attempts`] deterministic attempts (attempt `a` of
@@ -24,8 +24,9 @@
 //! sequential single-thread oracle in the proptests is the specification.
 //!
 //! With `max_attempts == 1`, no degradation, and an empty resume state,
-//! [`run_supervised`] is **bit-identical** to [`try_run_starts`] — same
-//! survivors, failures, and (with tracing on) the same merged trace content.
+//! [`run_supervised`] is **bit-identical** to
+//! [`try_run_starts`](crate::try_run_starts) — same survivors, failures,
+//! and (with tracing on) the same merged trace content.
 
 use crate::{failure_phase, panic_message, BatchResult, ExecError, ExecTiming, StartFailure};
 use mlpart_fm::{Budget, RefineWorkspace};

@@ -237,7 +237,8 @@ pub fn audit_pass_end(
 mod tests {
     use super::*;
     use crate::bucket::BucketPolicy;
-    use crate::engine::refine_in;
+    use crate::budget::BudgetMeter;
+    use crate::engine::refine_budgeted_in;
     use crate::state::RefineWorkspace;
     use mlpart_hypergraph::rng::seeded_rng;
     use mlpart_hypergraph::{HypergraphBuilder, ModuleId};
@@ -348,7 +349,8 @@ mod tests {
             ..FmConfig::default()
         };
         let mut ws = RefineWorkspace::new();
-        let r = refine_in(&h, &mut p, &cfg, &mut seeded_rng(3), &mut ws);
+        let mut meter = BudgetMeter::unlimited();
+        let r = refine_budgeted_in(&h, &mut p, &cfg, &mut seeded_rng(3), &mut ws, &mut meter);
         assert_eq!(
             audit_pass_end(&ws.state, &h, &p, &cfg, r.internal_cut),
             Ok(())
@@ -366,12 +368,13 @@ mod tests {
         let h = path4();
         let mut p = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1]).unwrap();
         let cfg = FmConfig::default();
-        let r = refine_in(
+        let r = refine_budgeted_in(
             &h,
             &mut p,
             &cfg,
             &mut seeded_rng(1),
             &mut RefineWorkspace::new(),
+            &mut BudgetMeter::unlimited(),
         );
         mlpart_audit::force_enabled(false);
         assert!(r.passes >= 1);

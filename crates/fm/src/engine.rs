@@ -187,24 +187,14 @@ pub fn fm_partition(
     rng: &mut MlRng,
 ) -> (Partition, FmResult) {
     let mut ws = RefineWorkspace::new();
-    fm_partition_in(h, initial, cfg, rng, &mut ws)
+    fm_partition_budgeted_in(h, initial, cfg, rng, &mut ws, &mut BudgetMeter::unlimited())
 }
 
-/// [`fm_partition`] with caller-owned scratch: behaves identically but
-/// reuses the allocations in `ws` (multilevel drivers call this at every
-/// level of the V-cycle).
-pub fn fm_partition_in(
-    h: &Hypergraph,
-    initial: Option<Partition>,
-    cfg: &FmConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> (Partition, FmResult) {
-    fm_partition_budgeted_in(h, initial, cfg, rng, ws, &mut BudgetMeter::unlimited())
-}
-
-/// [`fm_partition_in`] accounting against a caller-owned [`BudgetMeter`]:
-/// when the meter is exhausted no refinement pass runs and the (rebalanced)
+/// [`fm_partition`] with caller-owned scratch, accounting against a
+/// caller-owned [`BudgetMeter`]: behaves identically to [`fm_partition`]
+/// under an unlimited meter but reuses the allocations in `ws` (multilevel
+/// drivers refine every level of the V-cycle through one workspace). When
+/// the meter is exhausted no refinement pass runs and the (rebalanced)
 /// initial partition is returned as the best-so-far solution.
 pub fn fm_partition_budgeted_in(
     h: &Hypergraph,
@@ -237,22 +227,12 @@ pub fn fm_partition_budgeted_in(
 /// Panics if `p` is not a bipartition of `h`.
 pub fn refine(h: &Hypergraph, p: &mut Partition, cfg: &FmConfig, rng: &mut MlRng) -> FmResult {
     let mut ws = RefineWorkspace::new();
-    refine_in(h, p, cfg, rng, &mut ws)
+    refine_budgeted_in(h, p, cfg, rng, &mut ws, &mut BudgetMeter::unlimited())
 }
 
-/// [`refine`] with caller-owned scratch: bit-identical results, no per-call
-/// allocation of the gain/bucket machinery.
-pub fn refine_in(
-    h: &Hypergraph,
-    p: &mut Partition,
-    cfg: &FmConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> FmResult {
-    refine_budgeted_in(h, p, cfg, rng, ws, &mut BudgetMeter::unlimited())
-}
-
-/// [`refine_in`] with a cooperative budget checkpoint before every pass.
+/// [`refine`] with caller-owned scratch (bit-identical results, no per-call
+/// allocation of the gain/bucket machinery) and a cooperative budget
+/// checkpoint before every pass.
 ///
 /// The pass loop consults `meter` at each pass boundary and stops early
 /// when a limit fires, so a budgeted run executes a prefix of the

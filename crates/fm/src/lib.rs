@@ -45,8 +45,8 @@ pub mod state;
 pub use bucket::{BucketPolicy, GainBuckets};
 pub use budget::{Budget, BudgetLimit, BudgetMeter, Truncation};
 pub use engine::{
-    fm_partition, fm_partition_budgeted_in, fm_partition_in, refine, refine_budgeted_in,
-    refine_constrained_budgeted_in, refine_in, Engine, FmConfig, FmResult,
+    fm_partition, fm_partition_budgeted_in, refine, refine_budgeted_in,
+    refine_constrained_budgeted_in, Engine, FmConfig, FmResult,
 };
 pub use repair::{repair_to_feasible, RepairRecord};
 pub use state::{PassStats, RefineState, RefineWorkspace};

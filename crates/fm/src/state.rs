@@ -171,16 +171,17 @@ impl RefineState {
 
 /// Owns the scratch memory of one refinement engine instance.
 ///
-/// Create one per multilevel run and pass it to the `*_in` entry points
-/// (`refine_in`, `fm_partition_in`, `kway_refine_in`, …): every level then
-/// reuses the gain arrays, pin counts, buckets, and move log instead of
-/// reallocating them. The convenience wrappers without `_in` create a
-/// throwaway workspace internally and behave identically.
+/// Create one per multilevel run and pass it to the `*_budgeted_in` entry
+/// points (`refine_budgeted_in`, `fm_partition_budgeted_in`,
+/// `kway_refine_budgeted_in`, …): every level then reuses the gain arrays,
+/// pin counts, buckets, and move log instead of reallocating them. The
+/// convenience forms without a workspace create a throwaway one internally
+/// and behave identically under an unlimited meter.
 ///
 /// # Examples
 ///
 /// ```
-/// use mlpart_fm::{refine, refine_in, FmConfig, RefineWorkspace};
+/// use mlpart_fm::{refine, refine_budgeted_in, BudgetMeter, FmConfig, RefineWorkspace};
 /// use mlpart_hypergraph::{HypergraphBuilder, Partition, rng::seeded_rng};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -196,7 +197,8 @@ impl RefineState {
 /// let mut ws = RefineWorkspace::new();
 /// let mut p_a = p0.clone();
 /// let mut p_b = p0.clone();
-/// let r_a = refine_in(&h, &mut p_a, &cfg, &mut seeded_rng(7), &mut ws);
+/// let mut meter = BudgetMeter::unlimited();
+/// let r_a = refine_budgeted_in(&h, &mut p_a, &cfg, &mut seeded_rng(7), &mut ws, &mut meter);
 /// let r_b = refine(&h, &mut p_b, &cfg, &mut seeded_rng(7));
 /// assert_eq!(p_a.assignment(), p_b.assignment());
 /// assert_eq!(r_a, r_b);
@@ -205,7 +207,7 @@ impl RefineState {
 /// ```
 #[derive(Debug, Default)]
 pub struct RefineWorkspace {
-    /// The owned scratch state, re-bound by each `*_in` call.
+    /// The owned scratch state, re-bound by each engine call.
     pub state: RefineState,
 }
 

@@ -4,8 +4,8 @@
 //! structure under arbitrary operation sequences.
 
 use mlpart_fm::{
-    fm_partition, fm_partition_in, refine, refine_in, BucketPolicy, Engine, FmConfig, GainBuckets,
-    RefineWorkspace,
+    fm_partition, fm_partition_budgeted_in, refine, refine_budgeted_in, BucketPolicy, BudgetMeter,
+    Engine, FmConfig, GainBuckets, RefineWorkspace,
 };
 use mlpart_hypergraph::rng::seeded_rng;
 use mlpart_hypergraph::{
@@ -138,11 +138,10 @@ proptest! {
         engine_clip in any::<bool>(),
         seed in 0u64..1000,
     ) {
-        // The refactored engine runs on a shared, reused `RefineState`; the
-        // pre-refactor behavior is exactly what the fresh-workspace wrappers
-        // produce. For any netlist and seed, a workspace that has already
-        // been bound to *other* problems must yield the same move sequence,
-        // cut, and per-pass statistics as a throwaway workspace.
+        // The engine runs on a shared, reused `RefineState`. For any netlist
+        // and seed, a workspace that has already been bound to *other*
+        // problems must yield the same move sequence, cut, and per-pass
+        // statistics as a fresh one.
         let h = build(areas, &nets);
         let cfg = FmConfig {
             engine: if engine_clip { Engine::Clip } else { Engine::Fm },
@@ -153,13 +152,17 @@ proptest! {
         {
             let dirty = build(vec![1, 2, 3], &[vec![0, 1], vec![1, 2]]);
             let mut rng = seeded_rng(seed ^ 0xdead);
-            let _ = fm_partition_in(&dirty, None, &cfg, &mut rng, &mut ws);
+            let _ = fm_partition_budgeted_in(&dirty, None, &cfg, &mut rng, &mut ws, &mut BudgetMeter::unlimited());
         }
+        let fresh = || RefineWorkspace::new();
+        let unlimited = || BudgetMeter::unlimited();
 
         let mut rng_a = seeded_rng(seed);
-        let (p_fresh, r_fresh) = fm_partition(&h, None, &cfg, &mut rng_a);
+        let (p_fresh, r_fresh) =
+            fm_partition_budgeted_in(&h, None, &cfg, &mut rng_a, &mut fresh(), &mut unlimited());
         let mut rng_b = seeded_rng(seed);
-        let (p_reuse, r_reuse) = fm_partition_in(&h, None, &cfg, &mut rng_b, &mut ws);
+        let (p_reuse, r_reuse) =
+            fm_partition_budgeted_in(&h, None, &cfg, &mut rng_b, &mut ws, &mut unlimited());
         prop_assert_eq!(p_fresh.assignment(), p_reuse.assignment());
         prop_assert_eq!(&r_fresh, &r_reuse);
 
@@ -171,9 +174,9 @@ proptest! {
         let mut p1 = p0.clone();
         let mut p2 = p0;
         let mut rng1 = seeded_rng(seed);
-        let r1 = refine(&h, &mut p1, &cfg, &mut rng1);
+        let r1 = refine_budgeted_in(&h, &mut p1, &cfg, &mut rng1, &mut fresh(), &mut unlimited());
         let mut rng2 = seeded_rng(seed);
-        let r2 = refine_in(&h, &mut p2, &cfg, &mut rng2, &mut ws);
+        let r2 = refine_budgeted_in(&h, &mut p2, &cfg, &mut rng2, &mut ws, &mut unlimited());
         prop_assert_eq!(p1.assignment(), p2.assignment());
         prop_assert_eq!(r1.cut, r2.cut);
         prop_assert_eq!(r1.kept_moves, r2.kept_moves);

@@ -220,8 +220,8 @@ pub fn audit_pass_end(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kway_refine_in;
-    use mlpart_fm::{BucketPolicy, RefineWorkspace};
+    use crate::kway_refine_budgeted_in;
+    use mlpart_fm::{BucketPolicy, BudgetMeter, RefineWorkspace};
     use mlpart_hypergraph::rng::seeded_rng;
     use mlpart_hypergraph::HypergraphBuilder;
 
@@ -313,13 +313,14 @@ mod tests {
         mlpart_audit::force_enabled(true);
         let h = path4();
         let mut p = Partition::from_assignment(&h, 2, vec![0, 1, 0, 1]).unwrap();
-        let r = kway_refine_in(
+        let r = kway_refine_budgeted_in(
             &h,
             &mut p,
             &[],
             &KwayConfig::default(),
             &mut seeded_rng(5),
             &mut RefineWorkspace::new(),
+            &mut BudgetMeter::unlimited(),
         );
         mlpart_audit::force_enabled(false);
         assert!(r.passes >= 1);

@@ -121,59 +121,18 @@ pub struct KwayResult {
     pub pass_stats: Vec<PassStats>,
 }
 
-/// Repairs an infeasible k-way partition by moving random non-fixed modules
-/// from the most over-full part to the least-full one until the §III-B-style
-/// bounds hold (or no move can help). Draws from `rng` only while the
-/// partition is infeasible.
+/// Repairs an infeasible k-way partition under per-part `[lo, hi]`
+/// windows: repeatedly moves a random non-fixed module from the part with
+/// the worst upper-bound overflow to the part with the worst lower-bound
+/// deficit until `bounds` holds (or no move can help). Draws from `rng` only
+/// while the partition is infeasible. With uniform windows
+/// ([`PartBounds::from_kway`]) the donor is the largest part and the
+/// receiver the smallest, ties to the lowest part id.
 ///
-/// `kway_partition` applies this to random starting solutions: on lumpy
+/// [`kway_partition`] applies this to random starting solutions: on lumpy
 /// area distributions the greedy random split can overfill a part, and
 /// refinement alone cannot fix it (its best-prefix rollback may restore the
 /// infeasible start).
-pub fn rebalance_to_feasibility(
-    h: &Hypergraph,
-    p: &mut Partition,
-    fixed: &[(ModuleId, PartId)],
-    balance: &KwayBalance,
-    rng: &mut MlRng,
-) -> usize {
-    use rand::Rng;
-    let mut is_fixed = vec![false; h.num_modules()];
-    for &(v, _) in fixed {
-        is_fixed[v.index()] = true;
-    }
-    let k = p.k();
-    let mut moved = 0usize;
-    let mut attempts = 0usize;
-    let max_attempts = 4 * h.num_modules() + 16;
-    while !balance.is_partition_feasible(p) && attempts < max_attempts {
-        attempts += 1;
-        let (mut big, mut small) = (0u32, 0u32);
-        for part in 1..k {
-            if p.part_area(part) > p.part_area(big) {
-                big = part;
-            }
-            if p.part_area(part) < p.part_area(small) {
-                small = part;
-            }
-        }
-        if big == small {
-            break;
-        }
-        let v = ModuleId::new(rng.gen_range(0..h.num_modules()));
-        if p.part(v) == big && !is_fixed[v.index()] {
-            p.move_module(h, v, small);
-            moved += 1;
-        }
-    }
-    moved
-}
-
-/// [`rebalance_to_feasibility`] generalized to per-part `[lo, hi]` windows:
-/// repeatedly moves a random non-fixed module from the part with the worst
-/// upper-bound overflow to the part with the worst lower-bound deficit until
-/// `bounds` holds (or no move can help). Draws from `rng` only while the
-/// partition is infeasible.
 ///
 /// # Panics
 ///
@@ -243,37 +202,15 @@ pub fn kway_partition(
     rng: &mut MlRng,
 ) -> (Partition, KwayResult) {
     let mut ws = RefineWorkspace::new();
-    kway_partition_in(h, k, initial, fixed, cfg, rng, &mut ws)
+    let mut meter = BudgetMeter::unlimited();
+    kway_partition_budgeted_in(h, k, initial, fixed, cfg, rng, &mut ws, &mut meter)
 }
 
-/// [`kway_partition`] with caller-owned scratch: behaves identically but
-/// reuses the allocations in `ws` (the quadrisection driver calls this at
-/// every level of the V-cycle).
-#[allow(clippy::too_many_arguments)]
-pub fn kway_partition_in(
-    h: &Hypergraph,
-    k: u32,
-    initial: Option<Partition>,
-    fixed: &[(ModuleId, PartId)],
-    cfg: &KwayConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> (Partition, KwayResult) {
-    kway_partition_budgeted_in(
-        h,
-        k,
-        initial,
-        fixed,
-        cfg,
-        rng,
-        ws,
-        &mut BudgetMeter::unlimited(),
-    )
-}
-
-/// [`kway_partition_in`] accounting against a caller-owned [`BudgetMeter`]:
-/// when the meter is exhausted no refinement pass runs and the rebalanced
-/// starting solution is returned as the best-so-far partition.
+/// [`kway_partition`] with caller-owned scratch, accounting against a
+/// caller-owned [`BudgetMeter`]: behaves identically to [`kway_partition`]
+/// under an unlimited meter but reuses the allocations in `ws`. When the
+/// meter is exhausted no refinement pass runs and the rebalanced starting
+/// solution is returned as the best-so-far partition.
 #[allow(clippy::too_many_arguments)]
 pub fn kway_partition_budgeted_in(
     h: &Hypergraph,
@@ -306,9 +243,10 @@ pub fn kway_partition_budgeted_in(
     // A lumpy random start (or the pinning above) can violate the bounds;
     // refinement alone cannot repair that, so fix feasibility first. No-op
     // (and no RNG draws) when the start is already feasible.
-    let balance = KwayBalance::new(h, k, cfg.balance_r);
-    rebalance_to_feasibility(h, &mut p, fixed, &balance, rng);
-    let result = kway_refine_budgeted_in(h, &mut p, fixed, cfg, rng, ws, meter);
+    let bounds = PartBounds::from_kway(&KwayBalance::new(h, k, cfg.balance_r));
+    rebalance_to_bounds(h, &mut p, fixed, &bounds, rng);
+    let result =
+        kway_refine_constrained_budgeted_in(h, &mut p, fixed, cfg, &bounds, rng, ws, meter);
     (p, result)
 }
 
@@ -325,7 +263,15 @@ pub fn kway_refine(
     rng: &mut MlRng,
 ) -> KwayResult {
     let mut ws = RefineWorkspace::new();
-    kway_refine_in(h, p, fixed, cfg, rng, &mut ws)
+    kway_refine_budgeted_in(
+        h,
+        p,
+        fixed,
+        cfg,
+        rng,
+        &mut ws,
+        &mut BudgetMeter::unlimited(),
+    )
 }
 
 /// The k-way gain of moving `v` to part `to` under `cfg.gain`, computed from
@@ -383,25 +329,14 @@ fn kway_objective(st: &RefineState, h: &Hypergraph, cfg: &KwayConfig, p: &Partit
     }
 }
 
-/// [`kway_refine`] with caller-owned scratch: bit-identical results, no
-/// per-call allocation of the gain/bucket machinery. The shared
-/// [`RefineState`] is bound in its k-way shape: `k` per-destination bucket
-/// structures and k-strided pin counts.
-pub fn kway_refine_in(
-    h: &Hypergraph,
-    p: &mut Partition,
-    fixed: &[(ModuleId, PartId)],
-    cfg: &KwayConfig,
-    rng: &mut MlRng,
-    ws: &mut RefineWorkspace,
-) -> KwayResult {
-    kway_refine_budgeted_in(h, p, fixed, cfg, rng, ws, &mut BudgetMeter::unlimited())
-}
-
-/// [`kway_refine_in`] with a cooperative budget checkpoint before every
-/// pass; mirrors `refine_budgeted_in` in the 2-way engine. A budgeted run
-/// executes a prefix of the unbudgeted pass sequence, and each pass keeps
-/// its best move prefix, so `p` always holds the best-so-far solution.
+/// [`kway_refine`] with caller-owned scratch (bit-identical results, no
+/// per-call allocation of the gain/bucket machinery) and a cooperative
+/// budget checkpoint before every pass; mirrors `refine_budgeted_in` in the
+/// 2-way engine. The shared [`RefineState`] is bound in its k-way shape:
+/// `k` per-destination bucket structures and k-strided pin counts. A
+/// budgeted run executes a prefix of the unbudgeted pass sequence, and each
+/// pass keeps its best move prefix, so `p` always holds the best-so-far
+/// solution.
 #[allow(clippy::too_many_arguments)]
 pub fn kway_refine_budgeted_in(
     h: &Hypergraph,

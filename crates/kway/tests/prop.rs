@@ -2,10 +2,10 @@
 //! configured objective, balance and fixed modules are always respected,
 //! and reported statistics match independent recomputation.
 
-use mlpart_fm::RefineWorkspace;
+use mlpart_fm::{BudgetMeter, RefineWorkspace};
 use mlpart_hypergraph::rng::seeded_rng;
 use mlpart_hypergraph::{metrics, Hypergraph, HypergraphBuilder, KwayBalance, ModuleId, Partition};
-use mlpart_kway::{kway_partition, kway_refine, kway_refine_in, KwayConfig, KwayGain};
+use mlpart_kway::{kway_partition, kway_refine, kway_refine_budgeted_in, KwayConfig, KwayGain};
 use proptest::prelude::*;
 
 fn arb_netlist() -> impl Strategy<Value = (Vec<u64>, Vec<Vec<usize>>)> {
@@ -90,10 +90,10 @@ proptest! {
         sod in any::<bool>(),
         seed in 0u64..500,
     ) {
-        // `kway_refine` now runs on the shared `RefineState` from
-        // `mlpart_fm`; a dirtied, reused workspace must reproduce the
-        // throwaway-workspace wrapper bit for bit — same assignment, same
-        // result, same per-pass statistics.
+        // `kway_refine_budgeted_in` runs on the shared `RefineState` from
+        // `mlpart_fm`; a dirtied, reused workspace must reproduce a fresh
+        // one bit for bit — same assignment, same result, same per-pass
+        // statistics.
         let h = build(areas, &nets);
         let cfg = KwayConfig {
             gain: if sod { KwayGain::SumOfDegrees } else { KwayGain::NetCut },
@@ -105,17 +105,21 @@ proptest! {
             let dirty = build(vec![1, 1, 2, 3], &[vec![0, 1, 2], vec![2, 3]]);
             let mut rng = seeded_rng(seed ^ 0xbeef);
             let mut dp = Partition::random(&dirty, 2, &mut rng);
-            let _ = kway_refine_in(&dirty, &mut dp, &[], &cfg, &mut rng, &mut ws);
+            let _ = kway_refine_budgeted_in(&dirty, &mut dp, &[], &cfg, &mut rng, &mut ws, &mut BudgetMeter::unlimited());
         }
+        let fresh = || RefineWorkspace::new();
+        let unlimited = || BudgetMeter::unlimited();
 
         let mut rng = seeded_rng(seed);
         let p0 = Partition::random(&h, k, &mut rng);
         let mut p_fresh = p0.clone();
         let mut p_reuse = p0;
         let mut rng1 = seeded_rng(seed);
-        let r_fresh = kway_refine(&h, &mut p_fresh, &[], &cfg, &mut rng1);
+        let r_fresh =
+            kway_refine_budgeted_in(&h, &mut p_fresh, &[], &cfg, &mut rng1, &mut fresh(), &mut unlimited());
         let mut rng2 = seeded_rng(seed);
-        let r_reuse = kway_refine_in(&h, &mut p_reuse, &[], &cfg, &mut rng2, &mut ws);
+        let r_reuse =
+            kway_refine_budgeted_in(&h, &mut p_reuse, &[], &cfg, &mut rng2, &mut ws, &mut unlimited());
         prop_assert_eq!(p_fresh.assignment(), p_reuse.assignment());
         prop_assert_eq!(&r_fresh, &r_reuse);
         prop_assert_eq!(&r_fresh.pass_stats, &r_reuse.pass_stats);

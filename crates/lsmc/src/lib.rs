@@ -200,7 +200,8 @@ pub fn lsmc_kway(
     assert!(cfg.descents >= 1, "need at least one descent");
     let mut best_p = Partition::random(h, k, rng);
     let balance = mlpart_hypergraph::KwayBalance::new(h, k, cfg.kway.balance_r);
-    mlpart_kway::rebalance_to_feasibility(h, &mut best_p, &[], &balance, rng);
+    let bounds = mlpart_hypergraph::PartBounds::from_kway(&balance);
+    mlpart_kway::rebalance_to_bounds(h, &mut best_p, &[], &bounds, rng);
     let r0 = kway_refine(h, &mut best_p, &[], &cfg.kway, rng);
     let mut best_cut = r0.cut;
     let mut improvements = 0usize;

@@ -40,7 +40,7 @@
 //!
 //! # Recording model
 //!
-//! Events are recorded into a thread-local [`trace::Recorder`] installed by
+//! Events are recorded into a thread-local recorder installed by
 //! [`capture`]. Instrumentation hooks ([`span`], [`counter`]) are no-ops
 //! unless the runtime gate is on *and* a recorder is installed on the
 //! current thread, so a library user who never captures pays one atomic

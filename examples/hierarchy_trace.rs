@@ -29,7 +29,7 @@ fn main() {
     println!();
 
     // --- Coarsening phase (Fig. 2, steps 1-5). ---
-    let hier = Hierarchy::coarsen(&h0, &cfg, &[], &mut rng);
+    let hier = Hierarchy::try_coarsen(&h0, &cfg, &[], &mut rng).expect("valid netlist");
     let m = hier.num_levels();
     println!(
         "coarsening with R = {} built {m} levels:",

@@ -56,7 +56,6 @@
 
 use mlpart::checkpoint::{self, CheckpointConfig, CheckpointWriter, StartOutcome, StartValue};
 use mlpart::cluster::MatchConfig;
-use mlpart::core::{two_phase_fm_budgeted_in, two_phase_fm_constrained_budgeted_in};
 use mlpart::fm::fm_partition_budgeted_in;
 use mlpart::gen::by_name;
 use mlpart::hypergraph::io::{read_fix, read_hgr, write_atomic_with, write_partition};
@@ -64,12 +63,14 @@ use mlpart::hypergraph::metrics::CutStats;
 use mlpart::hypergraph::rng::MlRng;
 use mlpart::lsmc::{lsmc_bipartition, LsmcConfig};
 use mlpart::{
-    ml_bipartition_budgeted_in, ml_bipartition_constrained_budgeted_in, ml_kway_budgeted_in,
-    ml_kway_constrained_budgeted_in, preflight, preflight_constrained,
-    recursive_ml_partition_budgeted_in, repair_to_feasible, run_supervised, Attempt, BipartBalance,
-    Budget, BudgetMeter, Constraints, Engine, ExecError, FmConfig, Hypergraph, KwayBalance,
-    LevelStats, MlConfig, MlKwayConfig, PartBounds, Partition, RefineWorkspace, RepairRecord,
-    ResumeState, RetryPolicy, Sink, StartDone, Truncation, ATTEMPT_STRIDE, DEFAULT_EPSILON,
+    preflight, preflight_constrained, repair_to_feasible, run_supervised,
+    try_ml_bipartition_budgeted_in, try_ml_bipartition_constrained_budgeted_in,
+    try_ml_kway_budgeted_in, try_ml_kway_constrained_budgeted_in,
+    try_recursive_ml_partition_budgeted_in, try_two_phase_fm_budgeted_in,
+    try_two_phase_fm_constrained_budgeted_in, Attempt, BipartBalance, Budget, BudgetMeter,
+    Constraints, Engine, ExecError, FmConfig, Hypergraph, KwayBalance, LevelStats, MlConfig,
+    MlKwayConfig, PartBounds, Partition, PipelineError, RefineWorkspace, RepairRecord, ResumeState,
+    RetryPolicy, Sink, StartDone, Truncation, ATTEMPT_STRIDE, DEFAULT_EPSILON,
 };
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -422,87 +423,64 @@ fn run_engine(
     // Each start spends against its own meter, so budgets cannot couple
     // starts and results stay thread-count-invariant.
     let mut meter = BudgetMeter::new(budget);
+    let meter = &mut meter;
+    let kway_cfg = MlKwayConfig {
+        matching_ratio: args.ratio,
+        coarsen_threshold: args.threshold.max(100),
+        ..MlKwayConfig::default()
+    };
+    let match_cfg = MatchConfig::with_ratio(args.ratio);
+    let engine = if matches!(args.algo.as_str(), "ml-c" | "clip") {
+        Engine::Clip
+    } else {
+        Engine::Fm
+    };
+    // Typed pipeline errors become the start's error message.
+    let run = |r: Result<StartResult, PipelineError>| r.map_err(|e| e.to_string());
     if let Some(c) = constraints {
         // Constraint-generic dispatch: pins, explicit ε, or general k.
         // Parsing already restricted the algorithms to ml-c/ml-f/two-phase.
         if args.algo == "two-phase" {
-            let (p, r) = two_phase_fm_constrained_budgeted_in(
+            let fm = fm_cfg(Engine::Fm);
+            return run(try_two_phase_fm_constrained_budgeted_in(
+                h, &fm, &match_cfg, c, rng, ws, meter,
+            )
+            .map(|(p, r)| (p, r.cut, Vec::new(), r.truncation)));
+        }
+        let cfg = ml_cfg(engine);
+        return run(match c.k() {
+            2 => try_ml_bipartition_constrained_budgeted_in(
                 h,
-                &fm_cfg(Engine::Fm),
-                &MatchConfig::with_ratio(args.ratio),
-                c,
+                &cfg,
+                c.fixed(),
+                h.total_area() / 2,
+                c.epsilon(),
                 rng,
                 ws,
-                &mut meter,
-            );
-            return Ok((p, r.cut, Vec::new(), r.truncation));
-        }
-        let engine = if args.algo == "ml-c" {
-            Engine::Clip
-        } else {
-            Engine::Fm
-        };
-        return Ok(match c.k() {
-            2 => {
-                let cfg = ml_cfg(engine).with_epsilon(c.epsilon());
-                let (p, r) = ml_bipartition_constrained_budgeted_in(
-                    h,
-                    &cfg,
-                    c.fixed(),
-                    h.total_area() / 2,
-                    c.epsilon(),
-                    rng,
-                    ws,
-                    &mut meter,
-                );
-                (p, r.cut, r.level_stats, r.truncation)
-            }
-            4 => {
-                let cfg = MlKwayConfig {
-                    matching_ratio: args.ratio,
-                    coarsen_threshold: args.threshold.max(100),
-                    ..MlKwayConfig::default()
-                };
-                let (p, r) = ml_kway_constrained_budgeted_in(h, &cfg, c, rng, ws, &mut meter);
-                (p, r.cut, r.level_stats, r.truncation)
-            }
-            k => {
-                let cfg = ml_cfg(engine).with_k(k).with_epsilon(c.epsilon());
-                let (p, r) = recursive_ml_partition_budgeted_in(h, &cfg, c, rng, ws, &mut meter);
-                (p, r.cut, Vec::new(), r.truncation)
-            }
+                meter,
+            )
+            .map(|(p, r)| (p, r.cut, r.level_stats, r.truncation)),
+            4 => try_ml_kway_constrained_budgeted_in(h, &kway_cfg, c, rng, ws, meter)
+                .map(|(p, r)| (p, r.cut, r.level_stats, r.truncation)),
+            _ => try_recursive_ml_partition_budgeted_in(h, &cfg, c, rng, ws, meter)
+                .map(|(p, r)| (p, r.cut, Vec::new(), r.truncation)),
         });
     }
     if args.k == 4 {
-        let cfg = MlKwayConfig {
-            matching_ratio: args.ratio,
-            coarsen_threshold: args.threshold.max(100),
-            ..MlKwayConfig::default()
-        };
         if !args.algo.starts_with("ml") {
             return Err("--k 4 requires --algo ml-c or ml-f".to_owned());
         }
-        let (p, r) = ml_kway_budgeted_in(h, &cfg, &[], rng, ws, &mut meter);
-        return Ok((p, r.cut, r.level_stats, r.truncation));
+        return run(try_ml_kway_budgeted_in(h, &kway_cfg, &[], rng, ws, meter)
+            .map(|(p, r)| (p, r.cut, r.level_stats, r.truncation)));
     }
-    Ok(match args.algo.as_str() {
-        "ml-c" => {
-            let (p, r) = ml_bipartition_budgeted_in(h, &ml_cfg(Engine::Clip), rng, ws, &mut meter);
-            (p, r.cut, r.level_stats, r.truncation)
-        }
-        "ml-f" => {
-            let (p, r) = ml_bipartition_budgeted_in(h, &ml_cfg(Engine::Fm), rng, ws, &mut meter);
-            (p, r.cut, r.level_stats, r.truncation)
-        }
-        "fm" => {
-            let (p, r) =
-                fm_partition_budgeted_in(h, None, &fm_cfg(Engine::Fm), rng, ws, &mut meter);
-            (p, r.cut, Vec::new(), meter.truncation())
-        }
-        "clip" => {
-            let (p, r) =
-                fm_partition_budgeted_in(h, None, &fm_cfg(Engine::Clip), rng, ws, &mut meter);
-            (p, r.cut, Vec::new(), meter.truncation())
+    match args.algo.as_str() {
+        "ml-c" | "ml-f" => run(
+            try_ml_bipartition_budgeted_in(h, &ml_cfg(engine), rng, ws, meter)
+                .map(|(p, r)| (p, r.cut, r.level_stats, r.truncation)),
+        ),
+        "fm" | "clip" => {
+            let (p, r) = fm_partition_budgeted_in(h, None, &fm_cfg(engine), rng, ws, meter);
+            Ok((p, r.cut, Vec::new(), meter.truncation()))
         }
         "lsmc" => {
             let cfg = LsmcConfig {
@@ -510,21 +488,16 @@ fn run_engine(
                 ..LsmcConfig::default()
             };
             let (p, r) = lsmc_bipartition(h, &cfg, rng);
-            (p, r.cut, Vec::new(), None)
+            Ok((p, r.cut, Vec::new(), None))
         }
         "two-phase" => {
-            let (p, r) = two_phase_fm_budgeted_in(
-                h,
-                &fm_cfg(Engine::Fm),
-                &MatchConfig::with_ratio(args.ratio),
-                rng,
-                ws,
-                &mut meter,
-            );
-            (p, r.cut, Vec::new(), r.truncation)
+            run(
+                try_two_phase_fm_budgeted_in(h, &fm_cfg(Engine::Fm), &match_cfg, rng, ws, meter)
+                    .map(|(p, r)| (p, r.cut, Vec::new(), r.truncation)),
+            )
         }
-        other => return Err(format!("unknown algorithm {other:?}\n{USAGE}")),
-    })
+        other => Err(format!("unknown algorithm {other:?}\n{USAGE}")),
+    }
 }
 
 /// The balance window every emitted partition must satisfy: the constraint

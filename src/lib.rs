@@ -60,12 +60,13 @@ pub use mlpart_obs as obs;
 pub use mlpart_place as place;
 
 pub use mlpart_core::{
-    ml_bipartition, ml_bipartition_budgeted_in, ml_bipartition_constrained,
-    ml_bipartition_constrained_budgeted_in, ml_bipartition_constrained_in, ml_bipartition_in,
-    ml_kway, ml_kway_budgeted_in, ml_kway_constrained, ml_kway_constrained_budgeted_in,
-    ml_kway_constrained_in, ml_kway_in, ml_quadrisection, preflight, preflight_constrained,
-    recursive_ml_partition, recursive_ml_partition_budgeted_in, Budget, BudgetLimit, BudgetMeter,
-    LevelStats, MlConfig, MlKwayConfig, PreflightError, Truncation,
+    ml_bipartition, ml_bipartition_budgeted_in, ml_kway, ml_kway_budgeted_in, preflight,
+    preflight_constrained, try_ml_bipartition_budgeted_in,
+    try_ml_bipartition_constrained_budgeted_in, try_ml_kway_budgeted_in,
+    try_ml_kway_constrained_budgeted_in, try_recursive_ml_bisection_budgeted_in,
+    try_recursive_ml_partition_budgeted_in, try_two_phase_fm_budgeted_in,
+    try_two_phase_fm_constrained_budgeted_in, Budget, BudgetLimit, BudgetMeter, LevelStats,
+    MlConfig, MlKwayConfig, PipelineError, PreflightError, Truncation,
 };
 pub use mlpart_exec::{
     run_supervised, Attempt, BatchResult, ExecError, PriorStart, ResumeState, RetryPolicy,

@@ -9,8 +9,8 @@ use mlpart::hypergraph::metrics;
 use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::place::{gordian_quadrisection, PlacerConfig};
 use mlpart::{
-    fm_partition, ml_bipartition, ml_quadrisection, BipartBalance, FmConfig, KwayBalance, MlConfig,
-    Partition,
+    fm_partition, ml_bipartition, ml_kway, BipartBalance, FmConfig, KwayBalance, MlConfig,
+    MlKwayConfig, Partition,
 };
 
 #[test]
@@ -93,7 +93,7 @@ fn quadrisection_pipeline_with_pads_and_placer() {
     let ml_best = (0..3)
         .map(|s| {
             let mut rng = seeded_rng(300 + s);
-            ml_quadrisection(&h, &[], &mut rng).1.cut
+            ml_kway(&h, &MlKwayConfig::default(), &[], &mut rng).1.cut
         })
         .min()
         .expect("runs");
@@ -103,7 +103,7 @@ fn quadrisection_pipeline_with_pads_and_placer() {
     );
     let bal = KwayBalance::new(&h, 4, 0.1);
     let mut rng = seeded_rng(400);
-    let (p, r) = ml_quadrisection(&h, &[], &mut rng);
+    let (p, r) = ml_kway(&h, &MlKwayConfig::default(), &[], &mut rng);
     assert!(bal.is_partition_feasible(&p), "{:?}", p.part_areas());
     assert_eq!(r.cut, metrics::cut(&h, &p));
 }

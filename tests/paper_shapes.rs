@@ -13,7 +13,7 @@ use mlpart::hypergraph::metrics;
 use mlpart::hypergraph::rng::seeded_rng;
 use mlpart::place::{gordian_quadrisection, PlacerConfig};
 use mlpart::{
-    fm_partition, ml_bipartition, ml_quadrisection, BucketPolicy, Engine, FmConfig, MlConfig,
+    fm_partition, ml_bipartition, ml_kway, BucketPolicy, Engine, FmConfig, MlConfig, MlKwayConfig,
 };
 
 const RUNS: u64 = 8;
@@ -136,7 +136,7 @@ fn table9_shape_multilevel_beats_placer_quadrisection() {
     let ml_best = (0..4)
         .map(|s| {
             let mut rng = seeded_rng(900 + s);
-            ml_quadrisection(&h, &[], &mut rng).1.cut
+            ml_kway(&h, &MlKwayConfig::default(), &[], &mut rng).1.cut
         })
         .min()
         .expect("runs");
