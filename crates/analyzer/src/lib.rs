@@ -19,11 +19,11 @@
 //! * **panic-path inventory** — `panic-unwrap`/`panic-expect`/
 //!   `panic-macro`/`panic-index` over the six pipeline crates, enforced by
 //!   the `panics-allow.txt` ratchet that can only shrink;
-//! * **feature-gate hygiene** — `ungated-hook`: every `mlpart_audit::` /
-//!   `mlpart_fault::` / `mlpart_obs::alloc::` mention in library code must
-//!   sit inside a matching `#[cfg(feature = ...)]` region (or a module gated
-//!   at its `mod` declaration), so opt-in hooks provably compile out
-//!   (tracing itself is always compiled in and gated at runtime);
+//! * **feature-gate hygiene** — `ungated-hook`: every `mlpart_obs::alloc::`
+//!   mention in library code must sit inside a `#[cfg(feature =
+//!   "obs-alloc")]` region, so the one opt-in hook (the tracking global
+//!   allocator) provably compiles out. Tracing, audits and fault injection
+//!   are compiled into every build and gated at runtime;
 //! * **staleness** — allow/ratchet entries that no longer match reality
 //!   fail `--check-stale`, so exemptions can't rot.
 //!
@@ -91,23 +91,6 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Features a file inherits from a `#[cfg(feature = "...")] mod x;`
-/// declaration in its crate's `lib.rs`. `rel_in_src` is the path below
-/// `src/` (`audit.rs`, `audit/mod.rs`, `audit/deep.rs` all map to the
-/// top-level module `audit`).
-fn inherited_features(gated: &[outline::GatedMod], rel_in_src: &Path) -> Vec<String> {
-    let Some(first) = rel_in_src.components().next() else {
-        return Vec::new();
-    };
-    let first = first.as_os_str().to_string_lossy();
-    let module = first.strip_suffix(".rs").unwrap_or(&first);
-    gated
-        .iter()
-        .filter(|g| g.name == module)
-        .flat_map(|g| g.features.iter().cloned())
-        .collect()
-}
-
 /// Analyzes every scanned crate's `src/` tree plus the facade's root
 /// `src/`, returning all findings in canonical order (allow files not yet
 /// applied).
@@ -128,20 +111,6 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
             continue;
         }
         let is_library = LIBRARY_CRATES.contains(&name.as_str());
-        // Gated `mod` declarations in the crate root let included files
-        // inherit their feature requirement.
-        let gated_mods = if is_library {
-            let lib_rs = src.join("lib.rs");
-            match fs::read_to_string(&lib_rs) {
-                Ok(text) => {
-                    let toks = lexer::lex(&text);
-                    outline::build(&toks).gated_mods
-                }
-                Err(_) => Vec::new(),
-            }
-        } else {
-            Vec::new()
-        };
         let mut files = Vec::new();
         rust_files(&src, &mut files)?;
         for file in files {
@@ -150,12 +119,10 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
                 .unwrap_or(&file)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let rel_in_src = file.strip_prefix(&src).unwrap_or(&file);
             let scope = Scope {
                 panics: is_library,
                 gates: is_library,
                 debug_print: is_library,
-                inherited_features: inherited_features(&gated_mods, rel_in_src),
             };
             let text = fs::read_to_string(&file)?;
             findings.extend(analyze_source(&rel, &text, &scope));

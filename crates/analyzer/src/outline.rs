@@ -3,9 +3,7 @@
 //! The outline extracts exactly the structure the passes need — no full
 //! parse: `#[cfg(...)]` regions with their positive feature set and
 //! test-ness, `use`-alias resolution (including grouped imports and
-//! `as` renames), function spans (for finding context labels), and
-//! body-less gated `mod` declarations (so a file can inherit gating from
-//! the `#[cfg(feature = "...")] mod x;` line that includes it).
+//! `as` renames), and function spans (for finding context labels).
 //!
 //! Attribute attachment uses a heuristic that covers real Rust without a
 //! grammar: an attribute's region starts after any immediately following
@@ -39,15 +37,6 @@ pub struct FnSpan {
     pub end: usize,
 }
 
-/// A body-less `mod name;` declaration carrying `#[cfg(feature = ...)]`.
-#[derive(Debug, Clone)]
-pub struct GatedMod {
-    /// Module name from the declaration.
-    pub name: String,
-    /// Positive feature names guarding the declaration.
-    pub features: Vec<String>,
-}
-
 /// Structural facts about one source file.
 #[derive(Debug, Default)]
 pub struct Outline {
@@ -59,8 +48,6 @@ pub struct Outline {
     pub aliases: Vec<(String, String)>,
     /// Function items, in source order.
     pub fns: Vec<FnSpan>,
-    /// Body-less `mod` declarations carrying feature gates.
-    pub gated_mods: Vec<GatedMod>,
 }
 
 impl Outline {
@@ -128,14 +115,6 @@ pub fn build(toks: &[Token]) -> Outline {
                 if meta.is_cfg && (!meta.features.is_empty() || meta.is_test) {
                     let start = skip_attributes(toks, close + 1);
                     let end = attachment_end(toks, start);
-                    if let Some(name) = bodyless_mod_name(&toks[start..end]) {
-                        if !meta.features.is_empty() {
-                            out.gated_mods.push(GatedMod {
-                                name,
-                                features: meta.features.clone(),
-                            });
-                        }
-                    }
                     out.regions.push(CfgRegion {
                         start,
                         end,
@@ -227,16 +206,6 @@ fn attachment_end(toks: &[Token], start: usize) -> usize {
         k += 1;
     }
     toks.len()
-}
-
-/// For a region holding `pub? mod name ;` with no body: the mod name.
-fn bodyless_mod_name(toks: &[Token]) -> Option<String> {
-    if toks.iter().any(|t| t.is_punct('{')) {
-        return None;
-    }
-    let pos = toks.iter().position(|t| t.is_ident("mod"))?;
-    let name = toks.get(pos + 1)?;
-    (name.kind == TokKind::Ident).then(|| name.text.clone())
 }
 
 struct Meta {
@@ -512,13 +481,13 @@ mod tests {
     #[test]
     fn cfg_region_covers_block_and_fn() {
         let src = r#"
-            #[cfg(feature = "audit")]
-            fn hooked() { mlpart_audit::check(); }
+            #[cfg(feature = "obs-alloc")]
+            fn hooked() { mlpart_obs::alloc::snapshot(); }
             fn plain() { naked(); }
         "#;
         let (toks, o) = outline_of(src);
-        assert!(o.in_feature(idx_of(&toks, "mlpart_audit"), "audit"));
-        assert!(!o.in_feature(idx_of(&toks, "naked"), "audit"));
+        assert!(o.in_feature(idx_of(&toks, "mlpart_obs"), "obs-alloc"));
+        assert!(!o.in_feature(idx_of(&toks, "naked"), "obs-alloc"));
     }
 
     #[test]
@@ -534,13 +503,13 @@ mod tests {
     #[test]
     fn any_with_not_keeps_only_positive() {
         let src = r#"
-            #[cfg(any(feature = "obs", not(feature = "audit")))]
+            #[cfg(any(feature = "obs", not(feature = "obs-alloc")))]
             fn f() { body(); }
         "#;
         let (toks, o) = outline_of(src);
         let i = idx_of(&toks, "body");
         assert!(o.in_feature(i, "obs"));
-        assert!(!o.in_feature(i, "audit"));
+        assert!(!o.in_feature(i, "obs-alloc"));
     }
 
     #[test]
@@ -562,9 +531,9 @@ mod tests {
 
     #[test]
     fn inner_cfg_gates_whole_file() {
-        let src = "#![cfg(feature = \"fault\")]\nfn f() { body(); }";
+        let src = "#![cfg(feature = \"obs-alloc\")]\nfn f() { body(); }";
         let (toks, o) = outline_of(src);
-        assert!(o.in_feature(idx_of(&toks, "body"), "fault"));
+        assert!(o.in_feature(idx_of(&toks, "body"), "obs-alloc"));
     }
 
     #[test]
@@ -592,19 +561,6 @@ mod tests {
         let (toks, o) = outline_of(src);
         assert!(o.in_feature(idx_of(&toks, "Traced"), "obs"));
         assert!(!o.in_feature(idx_of(&toks, "Plain"), "obs"));
-    }
-
-    #[test]
-    fn gated_mod_declaration_recorded() {
-        let src = r#"
-            #[cfg(feature = "audit")]
-            pub mod audit;
-            mod plain;
-        "#;
-        let (_, o) = outline_of(src);
-        assert_eq!(o.gated_mods.len(), 1);
-        assert_eq!(o.gated_mods[0].name, "audit");
-        assert_eq!(o.gated_mods[0].features, ["audit"]);
     }
 
     #[test]

@@ -4,25 +4,22 @@
 //!
 //! Every pass is a pure function of `(tokens, outline, scope)`; the scope
 //! says which passes apply to this file (panic checks only run on the six
-//! pipeline crates, gate checks only on library code) and which features
-//! the file inherits from a gated `mod` declaration in its crate root.
+//! pipeline crates, gate checks only on library code).
 
 use crate::findings::Finding;
 use crate::lexer::{TokKind, Token};
 use crate::outline::Outline;
 
-/// Which passes apply to the file being analyzed, plus inherited gating.
+/// Which passes apply to the file being analyzed.
 #[derive(Debug, Clone, Default)]
 pub struct Scope {
     /// Run the panic-path inventory (pipeline library crates only).
     pub panics: bool,
-    /// Run feature-gate hygiene (library crates with optional hook deps).
+    /// Run feature-gate hygiene on the allocation-tracker hook (library
+    /// crates).
     pub gates: bool,
     /// Deny `dbg!`/`println!` outside tests (library crates).
     pub debug_print: bool,
-    /// Features the whole file is gated on via `#[cfg(feature = "...")]
-    /// mod name;` in the crate root — e.g. `fm::audit` inherits `audit`.
-    pub inherited_features: Vec<String>,
 }
 
 /// Identifiers that disqualify the preceding-token heuristic for slice
@@ -37,26 +34,18 @@ const NON_INDEX_PREV: &[&str] = &[
 /// Macro names whose invocation panics.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Hook-crate roots and the cargo feature each must be gated behind.
-/// `mlpart_obs` is not one: tracing is always compiled in and gated at
-/// runtime. Only its allocation tracker is opt-in; see [`hook_feature`].
-const HOOK_ROOTS: &[(&str, &str)] = &[("mlpart_audit", "audit"), ("mlpart_fault", "fault")];
+/// The one opt-in hook feature. Tracing, audits and fault injection are
+/// compiled into every build and gated at runtime; only the allocation
+/// tracker (`mlpart_obs::alloc::…`, a global allocator) exists solely
+/// under this cargo feature.
+const ALLOC_FEATURE: &str = "obs-alloc";
 
-/// The feature a hook-path token at `i` must be gated behind, or `None`
-/// when `toks[i]` is not a hook root. Most hook sites need the crate-level
-/// feature from [`HOOK_ROOTS`]; `mlpart_obs::alloc::…` — the allocation
-/// tracker, a global allocator and so an opt-in — only exists under
-/// `obs-alloc`.
-fn hook_feature(toks: &[Token], i: usize) -> Option<&'static str> {
-    if toks[i].is_ident("mlpart_obs")
+/// True when the token at `i` starts an `mlpart_obs::alloc` path.
+fn is_alloc_hook(toks: &[Token], i: usize) -> bool {
+    toks[i].is_ident("mlpart_obs")
         && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
         && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
         && toks.get(i + 3).is_some_and(|t| t.is_ident("alloc"))
-    {
-        return Some("obs-alloc");
-    }
-    let (_, feature) = HOOK_ROOTS.iter().find(|(root, _)| toks[i].is_ident(root))?;
-    Some(feature)
 }
 
 /// Runs every applicable pass over one file. `src` is only used to attach
@@ -160,14 +149,12 @@ pub fn analyze(
         }
 
         // --- feature-gate hygiene ---
-        if scope.gates && t.kind == TokKind::Ident && !outline.in_test(i) {
-            if let Some(feature) = hook_feature(toks, i) {
-                let gated = outline.in_feature(i, feature)
-                    || scope.inherited_features.iter().any(|f| f == feature);
-                if !gated {
-                    hit("ungated-hook", i, toks, outline);
-                }
-            }
+        if scope.gates
+            && !outline.in_test(i)
+            && is_alloc_hook(toks, i)
+            && !outline.in_feature(i, ALLOC_FEATURE)
+        {
+            hit("ungated-hook", i, toks, outline);
         }
     }
     findings
@@ -333,44 +320,33 @@ mod tests {
     }
 
     #[test]
-    fn gated_hooks_pass_ungated_fail() {
+    fn runtime_gated_hooks_need_no_feature() {
+        // Audits and fault injection are compiled into every build.
         let src = r#"
             fn f() {
-                #[cfg(feature = "fault")]
                 mlpart_fault::maybe_panic("start", 0);
                 let _span = mlpart_obs::span("match");
-                mlpart_audit::check_partition(&p);
+                if mlpart_audit::enabled() {
+                    mlpart_audit::enforce(mlpart_audit::audit_partition(&h, &p));
+                }
             }
         "#;
-        let f = run(src, &gate_scope());
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].check, "ungated-hook");
-        assert!(f[0].snippet.contains("mlpart_audit"));
-    }
-
-    #[test]
-    fn inherited_module_gating_counts() {
-        let src = "pub fn hook() { mlpart_audit::check(); }\n";
-        let mut scope = gate_scope();
-        let f = run(src, &scope);
-        assert_eq!(f.len(), 1);
-        scope.inherited_features = vec!["audit".into()];
-        assert!(run(src, &scope).is_empty());
+        assert!(run(src, &gate_scope()).is_empty());
     }
 
     #[test]
     fn alloc_hook_requires_the_obs_alloc_gate() {
         // Another feature's gate is not enough for the allocation tracker:
         // the `alloc` module only compiles under `obs-alloc`.
-        let under_audit = r#"
+        let under_other = r#"
             fn f() {
-                #[cfg(feature = "audit")]
+                #[cfg(feature = "other")]
                 {
                     mlpart_obs::alloc::reset_thread_tallies();
                 }
             }
         "#;
-        assert_eq!(checks(under_audit, &gate_scope()), ["ungated-hook"]);
+        assert_eq!(checks(under_other, &gate_scope()), ["ungated-hook"]);
         let under_alloc = r#"
             fn f() {
                 #[cfg(feature = "obs-alloc")]
@@ -394,23 +370,10 @@ mod tests {
     }
 
     #[test]
-    fn inherited_obs_alloc_module_gating_counts() {
-        let src = "pub fn hook() { mlpart_obs::alloc::snapshot(); }\n";
-        let mut scope = gate_scope();
-        assert_eq!(checks(src, &scope), ["ungated-hook"]);
-        // Inheriting another feature from a gated `mod` is not enough…
-        scope.inherited_features = vec!["audit".into()];
-        assert_eq!(checks(src, &scope), ["ungated-hook"]);
-        // …but inheriting `obs-alloc` is.
-        scope.inherited_features = vec!["obs-alloc".into()];
-        assert!(run(src, &scope).is_empty());
-    }
-
-    #[test]
     fn gated_use_import_is_fine_ungated_is_not() {
-        let gated = "#[cfg(feature = \"fault\")]\nuse mlpart_fault::plan::Plan;\n";
+        let gated = "#[cfg(feature = \"obs-alloc\")]\nuse mlpart_obs::alloc::snapshot;\n";
         assert!(run(gated, &gate_scope()).is_empty());
-        let ungated = "use mlpart_fault::plan::Plan;\n";
+        let ungated = "use mlpart_obs::alloc::snapshot;\n";
         assert_eq!(checks(ungated, &gate_scope()), ["ungated-hook"]);
     }
 

@@ -5,16 +5,17 @@
 //! gain buckets must agree with recomputed FM gains, and Definition-2
 //! projection must preserve cut bit-exactly at every uncoarsening level.
 //! This crate is Part A of the workspace's verification layer: structure
-//! checkers that algorithm crates invoke at phase boundaries behind the
-//! `audit` cargo feature plus an `MLPART_AUDIT=1` environment gate.
+//! checkers that algorithm crates invoke at phase boundaries. They are
+//! compiled into every build and run only behind the `MLPART_AUDIT=1`
+//! environment gate (or [`force_enabled`]).
 //!
 //! Checkers return a structured [`AuditError`] (structure, check, level,
 //! pass, offending module/net) instead of panicking; the call sites funnel
 //! failures through [`enforce`], which formats the report before aborting.
 //!
 //! Checkers for engine-internal state (`RefineState`, k-way gain tables)
-//! live inside `mlpart-fm` / `mlpart-kway` behind their own `audit`
-//! features — they need private context this crate cannot see — and reuse
+//! live in the `audit` modules of `mlpart-fm` / `mlpart-kway` — they need
+//! private context this crate cannot see — and reuse
 //! the [`AuditError`] type and the [`enabled`]/[`enforce`] gates from here.
 //!
 //! # Examples

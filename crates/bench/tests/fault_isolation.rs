@@ -1,13 +1,11 @@
-//! Fault-injection meets the determinism contract (needs `--features
-//! fault`): injected per-start panics on a *real* partitioning workload
-//! must leave the surviving starts bit-identical at every thread count.
+//! Fault-injection meets the determinism contract: injected per-start
+//! panics on a *real* partitioning workload must leave the surviving
+//! starts bit-identical at every thread count.
 //!
 //! Lives in its own integration-test binary because a forced fault plan is
 //! process-global — any other test running a batch in the same process
 //! would see the injected panics. Every test here serializes on
 //! `mlpart_fault::test_lock()`.
-
-#![cfg(feature = "fault")]
 
 use mlpart_bench::algos;
 use mlpart_gen::suite;

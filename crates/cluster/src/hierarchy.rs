@@ -137,7 +137,6 @@ pub fn induce(h: &Hypergraph, clustering: &Clustering) -> Result<Hypergraph, Coa
         builder.add_weighted_net(scratch.iter().copied(), h.net_weight(e))?;
     }
     let coarse = builder.build()?;
-    #[cfg(feature = "audit")]
     if mlpart_audit::enabled() {
         mlpart_audit::enforce(mlpart_audit::audit_hypergraph(&coarse));
         mlpart_audit::enforce(mlpart_audit::check_counter(
@@ -194,7 +193,6 @@ pub fn induce_coalesced(
         builder.add_weighted_net(pins.iter().map(|&p| p as usize), weight)?;
     }
     let coalesced = builder.build()?;
-    #[cfg(feature = "audit")]
     if mlpart_audit::enabled() {
         mlpart_audit::enforce(mlpart_audit::audit_hypergraph(&coalesced));
         // Coalescing must conserve total net weight (each merged net carries
@@ -243,7 +241,6 @@ pub fn project(
             num_clusters: clustering.num_clusters(),
         },
     )?;
-    #[cfg(feature = "audit")]
     if mlpart_audit::enabled() {
         mlpart_audit::enforce(mlpart_audit::audit_cluster_map(
             clustering.as_map(),

@@ -594,7 +594,6 @@ mod tests {
 
     /// With audits forced on, every projection boundary of a multilevel run
     /// is checked (and a healthy run survives them all).
-    #[cfg(feature = "audit")]
     #[test]
     fn audit_hooks_fire_on_healthy_run() {
         mlpart_audit::force_enabled(true);
@@ -773,7 +772,6 @@ mod constrained_tests {
 
     /// With audits forced on, the pin and bounds checkers run at every level
     /// of a healthy constrained run.
-    #[cfg(feature = "audit")]
     #[test]
     fn audit_hooks_fire_on_constrained_run() {
         mlpart_audit::force_enabled(true);

@@ -432,7 +432,6 @@ mod tests {
     }
 
     /// With audits forced on, every k-way projection boundary is checked.
-    #[cfg(feature = "audit")]
     #[test]
     fn audit_hooks_fire_on_healthy_run() {
         mlpart_audit::force_enabled(true);

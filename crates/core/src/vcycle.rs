@@ -251,7 +251,6 @@ pub(crate) fn uncoarsen<M: Mode, F: Refiner>(
         // Definition 2 audit: the projected solution must pull back through
         // the cluster map and preserve the cut bit-exactly, checked before
         // rebalancing perturbs `fine_p`.
-        #[cfg(feature = "audit")]
         if mlpart_audit::enabled() {
             mlpart_audit::enforce(
                 mlpart_audit::audit_projection(
@@ -283,7 +282,6 @@ pub(crate) fn uncoarsen<M: Mode, F: Refiner>(
         let r = refiner.refine(fine, &mut fine_p, level_fixed, &bounds, rng, ws, meter);
         meter.note_level();
         // Pins must survive every level, not just the final answer.
-        #[cfg(feature = "audit")]
         if mlpart_audit::enabled() {
             mlpart_audit::enforce(
                 mlpart_audit::audit_fixed_assignment(&fine_p, level_fixed)
@@ -315,7 +313,6 @@ pub(crate) fn audit_result(
     fixed: &[(ModuleId, PartId)],
     bounds: Option<&PartBounds>,
 ) {
-    #[cfg(feature = "audit")]
     if mlpart_audit::enabled() {
         mlpart_audit::enforce(mlpart_audit::audit_partition(h, p));
         mlpart_audit::enforce(mlpart_audit::audit_fixed_assignment(p, fixed));
@@ -324,8 +321,6 @@ pub(crate) fn audit_result(
             mlpart_audit::enforce(mlpart_audit::audit_part_bounds(p, &lo, &hi));
         }
     }
-    #[cfg(not(feature = "audit"))]
-    let _ = (h, p, fixed, bounds);
 }
 
 /// Checks a pin list against `h` and `k` before any stage indexes by it.

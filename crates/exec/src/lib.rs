@@ -311,7 +311,6 @@ where
         let start = Instant::now();
         let mut rng = seeded_rng(child_seed(base_seed, i as u64));
         let body = AssertUnwindSafe(|| {
-            #[cfg(feature = "fault")]
             mlpart_fault::maybe_panic("start", i as u64);
             job(&mut rng, ws)
         });
@@ -375,13 +374,12 @@ where
 
         // Scatter into start order; completion order is irrelevant.
         slots = (0..runs).map(|_| None).collect();
-        #[cfg(feature = "audit")]
-        let mut claims = vec![0u32; runs];
+        // Per-start claim tallies exist only in audited runs.
+        let mut claims = mlpart_audit::enabled().then(|| vec![0u32; runs]);
         for local in locals {
             for (i, secs, slot) in local? {
                 cpu_secs += secs;
-                #[cfg(feature = "audit")]
-                if let Some(c) = claims.get_mut(i) {
+                if let Some(c) = claims.as_mut().and_then(|c| c.get_mut(i)) {
                     *c += 1;
                 }
                 // i is a start index handed to the worker from 0..runs, so
@@ -395,9 +393,8 @@ where
         // Work-stealing audit: every start index must have been claimed by
         // exactly one worker (a duplicate or dropped claim would silently
         // break the determinism contract before the `Lost` check fires).
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
-            mlpart_audit::enforce(mlpart_audit::audit_start_claims(&claims));
+        if let Some(claims) = &claims {
+            mlpart_audit::enforce(mlpart_audit::audit_start_claims(claims));
         }
     }
 
@@ -824,7 +821,6 @@ mod tests {
 
     /// With audits forced on, the scatter-claims check runs on a healthy
     /// multi-threaded batch and the results stay bit-identical.
-    #[cfg(feature = "audit")]
     #[test]
     fn audit_hooks_fire_on_healthy_batch() {
         mlpart_audit::force_enabled(true);

@@ -247,11 +247,8 @@ where
             budget,
         };
         let body = AssertUnwindSafe(|| {
-            #[cfg(feature = "fault")]
-            {
-                mlpart_fault::maybe_panic("start", i as u64);
-                mlpart_fault::maybe_panic("attempt", i as u64 * ATTEMPT_STRIDE + u64::from(a));
-            }
+            mlpart_fault::maybe_panic("start", i as u64);
+            mlpart_fault::maybe_panic("attempt", i as u64 * ATTEMPT_STRIDE + u64::from(a));
             job(&mut rng, ws, attempt)
         });
         let (result, trace) = mlpart_obs::capture(|| catch_unwind(body));
@@ -441,13 +438,12 @@ where
                 })
                 .collect()
         });
-        #[cfg(feature = "audit")]
-        let mut claims = vec![0u32; runs];
+        // Per-start claim tallies exist only in audited runs.
+        let mut claims = mlpart_audit::enabled().then(|| vec![0u32; runs]);
         for local in locals {
             for (i, secs, y) in local? {
                 cpu_secs += secs;
-                #[cfg(feature = "audit")]
-                if let Some(c) = claims.get_mut(i) {
+                if let Some(c) = claims.as_mut().and_then(|c| c.get_mut(i)) {
                     *c += 1;
                 }
                 // i was handed to the worker from `pending`, so it is
@@ -460,8 +456,7 @@ where
         }
         // Work-stealing audit: every *pending* start claimed exactly once
         // (an out-of-range claim would read as zero and fail the audit).
-        #[cfg(feature = "audit")]
-        if mlpart_audit::enabled() {
+        if let Some(claims) = &claims {
             let pending_claims: Vec<u32> = pending
                 .iter()
                 .map(|&i| claims.get(i).copied().unwrap_or(0))

@@ -1,4 +1,4 @@
-//! Fault-injection tests for the execution layer (needs `--features fault`).
+//! Fault-injection tests for the execution layer.
 //!
 //! These live in their own integration-test binary, not the lib's unit
 //! tests, because a forced fault plan is process-global: while one test
@@ -6,8 +6,6 @@
 //! process would see the injected panics. Here every test grabs
 //! `mlpart_fault::test_lock()`, so within this process the forced-plan
 //! windows are serialized and nothing else runs a batch.
-
-#![cfg(feature = "fault")]
 
 use mlpart_exec::{run_starts, try_run_starts};
 use mlpart_fm::RefineWorkspace;

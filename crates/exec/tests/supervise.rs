@@ -1,5 +1,4 @@
-//! Fault-injection tests for the supervised runner (needs `--features
-//! fault`).
+//! Fault-injection tests for the supervised runner.
 //!
 //! Same process-global caveat as `fault.rs`: every test holds
 //! `mlpart_fault::test_lock()` while a forced plan is installed, so the
@@ -9,8 +8,6 @@
 //! per-start attempt counts are bit-identical at every thread count and
 //! across any interrupt/resume split, with the sequential single-thread run
 //! as the oracle.
-
-#![cfg(feature = "fault")]
 
 use mlpart_exec::{
     run_supervised, Attempt, ExecError, PriorStart, ResumeState, RetryPolicy, StartDone,

@@ -10,13 +10,13 @@
 //!
 //! # Gating
 //!
-//! Mirrors `mlpart-audit`/`mlpart-obs` exactly: call sites are compiled in
-//! only under per-crate `fault` cargo features, and at runtime nothing fires
-//! unless the `MLPART_FAULTS` environment variable holds a fault plan (or a
-//! test forces one with [`force_plan`]). With the feature compiled in but no
-//! plan active, every hook is a cheap no-op and results are byte-identical
-//! to an uninstrumented build — injection never perturbs the algorithms' RNG
-//! streams.
+//! Mirrors `mlpart-audit`/`mlpart-obs` exactly: call sites are compiled
+//! into every build and gated at runtime only. Nothing fires unless the
+//! `MLPART_FAULTS` environment variable holds a fault plan (or a test
+//! forces one with [`force_plan`]). With no plan active every hook is one
+//! relaxed atomic load plus a cached-plan check, and results are
+//! byte-identical to a run without hooks — injection never perturbs the
+//! algorithms' RNG streams.
 //!
 //! # Plan grammar
 //!

@@ -1,11 +1,10 @@
 //! Phase-boundary invariant checkers for the 2-way engine state.
 //!
-//! Only compiled under the `audit` feature. These recompute the FM
-//! engine's incremental structures from scratch — per-net pin counts,
-//! per-module gains, bucket keys, the free/locked split, and the running
-//! cut — and compare them against what the engine maintains. The engine
-//! invokes them at the start and end of every pass when
-//! [`mlpart_audit::enabled`] is on.
+//! These recompute the FM engine's incremental structures from scratch —
+//! per-net pin counts, per-module gains, bucket keys, the free/locked
+//! split, and the running cut — and compare them against what the engine
+//! maintains. The engine invokes them at the start and end of every pass
+//! when [`mlpart_audit::enabled`] is on.
 //!
 //! Gains of *locked* modules are deliberately stale mid-pass (the FM
 //! update rules skip them), so the deep gain/bucket audit runs at pass

@@ -22,10 +22,11 @@
 //!
 //! # Fault injection
 //!
-//! Under the `fault` feature the checkpoints double as injection sites:
-//! `panic@pass` / `panic@level` faults fire here, and `exhaust@pass` /
-//! `exhaust@level` faults record an [`BudgetLimit::Injected`] truncation —
-//! exercising exactly the code paths real budget exhaustion takes.
+//! While a fault plan is active (`MLPART_FAULTS`, or one a test forces),
+//! the checkpoints double as injection sites: `panic@pass` / `panic@level`
+//! faults fire here, and `exhaust@pass` / `exhaust@level` faults record a
+//! [`BudgetLimit::Injected`] truncation — exercising exactly the code paths
+//! real budget exhaustion takes.
 
 /// Effort bounds for one start. `None` fields are unlimited; the default
 /// budget is fully unlimited and adds no overhead beyond a few compares per
@@ -203,12 +204,10 @@ impl BudgetMeter {
     /// when the pass must not run. Doubles as the `pass` fault-injection
     /// site.
     pub fn pass_checkpoint(&mut self, pass: u32) -> bool {
-        #[cfg(feature = "fault")]
         mlpart_fault::maybe_panic("pass", pass as u64);
         if self.exhausted() {
             return false;
         }
-        #[cfg(feature = "fault")]
         if mlpart_fault::should_exhaust("pass", pass as u64) {
             self.truncate(BudgetLimit::Injected, "pass", Some(pass));
             return false;
@@ -230,12 +229,10 @@ impl BudgetMeter {
     /// `false` when the level's refinement must be skipped (projection and
     /// rebalancing still run). Doubles as the `level` fault-injection site.
     pub fn level_checkpoint(&mut self, level: u32) -> bool {
-        #[cfg(feature = "fault")]
         mlpart_fault::maybe_panic("level", level as u64);
         if self.exhausted() {
             return false;
         }
-        #[cfg(feature = "fault")]
         if mlpart_fault::should_exhaust("level", level as u64) {
             self.current_level = Some(level);
             self.truncate(BudgetLimit::Injected, "level", None);
@@ -378,18 +375,5 @@ mod tests {
         });
         assert!(!m.pass_checkpoint(0));
         assert_eq!(m.truncation().unwrap().limit, BudgetLimit::Deadline);
-    }
-
-    #[cfg(feature = "fault")]
-    #[test]
-    fn injected_exhaustion_records_injected_limit() {
-        let _gate = mlpart_fault::test_lock();
-        mlpart_fault::force_plan(mlpart_fault::FaultPlan::parse("exhaust@pass:1").unwrap());
-        let mut m = BudgetMeter::unlimited();
-        assert!(m.pass_checkpoint(0));
-        m.note_pass(3);
-        assert!(!m.pass_checkpoint(1));
-        assert_eq!(m.truncation().unwrap().limit, BudgetLimit::Injected);
-        mlpart_fault::clear_force();
     }
 }

@@ -708,7 +708,6 @@ impl RefineState {
             }
             (self.buckets[0].len() as u64, gmin, gmax, neg, zero, pos)
         });
-        #[cfg(feature = "audit")]
         if mlpart_audit::enabled() {
             mlpart_audit::enforce(
                 crate::audit::audit_pass_start(self, h, p, cfg, start_cut)
@@ -783,9 +782,8 @@ impl RefineState {
                         }
                     }
                     self.moves.truncate(best_len);
-                    // In audit builds this runs in release too (the
-                    // debug_assert it replaces was debug-only).
-                    #[cfg(feature = "audit")]
+                    // In audited runs this is checked in release too (the
+                    // debug_assert below is debug-only).
                     if mlpart_audit::enabled() {
                         mlpart_audit::enforce(
                             mlpart_audit::check_counter(
@@ -811,7 +809,6 @@ impl RefineState {
             for &(v, _from) in undo.iter().rev() {
                 self.shift_module(h, p, v, cfg, &mut cut);
             }
-            #[cfg(feature = "audit")]
             if mlpart_audit::enabled() {
                 mlpart_audit::enforce(
                     mlpart_audit::check_counter("RefineState", "rollback-cut", cut, best_cut)
@@ -826,7 +823,6 @@ impl RefineState {
                 p.move_module(h, v, from);
             }
         }
-        #[cfg(feature = "audit")]
         if mlpart_audit::enabled() {
             mlpart_audit::enforce(
                 crate::audit::audit_pass_end(self, h, p, cfg, best_cut)
@@ -1290,7 +1286,6 @@ mod constrained_tests {
         assert_eq!(r.kept_moves, 0);
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn audit_accepts_fixed_runs() {
         mlpart_audit::force_enabled(true);

@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-#[cfg(feature = "audit")]
 pub mod audit;
 pub mod bucket;
 pub mod budget;

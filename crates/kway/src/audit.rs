@@ -1,11 +1,11 @@
 //! Phase-boundary invariant checkers for the Sanchis k-way engine state.
 //!
-//! Only compiled under the `audit` feature. The k-way engine keeps
-//! k-strided pin counts and one gain bucket per destination part; these
-//! checkers re-derive every stored quantity from scratch — pin rows from
-//! the partition alone, Sanchis gains from the recomputed rows, the
-//! objective by a full sweep — and compare against the engine's
-//! incremental bookkeeping.
+//! The k-way engine keeps k-strided pin counts and one gain bucket per
+//! destination part; these checkers re-derive every stored quantity from
+//! scratch — pin rows from the partition alone, Sanchis gains from the
+//! recomputed rows, the objective by a full sweep — and compare against
+//! the engine's incremental bookkeeping. The engine invokes them at the
+//! start and end of every pass when [`mlpart_audit::enabled`] is on.
 
 use crate::{KwayConfig, KwayGain};
 use mlpart_audit::{audit_partition, AuditError, AuditResult};

@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-#[cfg(feature = "audit")]
 pub mod audit;
 
 use mlpart_fm::{BucketPolicy, BudgetMeter, PassStats, RefineState, RefineWorkspace};
@@ -463,7 +462,6 @@ pub fn kway_refine_constrained_budgeted_in(
             (occupancy, gmin, gmax, neg, zero, pos)
         });
         let start_obj = kway_objective(st, h, cfg, p);
-        #[cfg(feature = "audit")]
         if mlpart_audit::enabled() {
             mlpart_audit::enforce(
                 audit::audit_pass_start(st, h, p, cfg, start_obj).map_err(|e| e.with_pass(passes)),
@@ -550,9 +548,8 @@ pub fn kway_refine_constrained_budgeted_in(
             p.move_module(h, v, from);
         }
         kept_moves += best_len as u64;
-        // In audit builds the rollback invariant runs in release too (the
-        // debug_assert below is debug-only).
-        #[cfg(feature = "audit")]
+        // In audited runs the rollback invariant is checked in release too
+        // (the debug_assert below is debug-only).
         if mlpart_audit::enabled() {
             mlpart_audit::enforce(
                 audit::audit_pass_end(st, h, p, cfg, best_obj).map_err(|e| e.with_pass(passes)),

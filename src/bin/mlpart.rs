@@ -532,7 +532,6 @@ fn run_once(
     let budget = attempt.budget.copied().unwrap_or(args.budget);
     let (mut partition, mut cut, level_stats, truncation) =
         run_engine(h, args, constraints, &budget, rng, ws)?;
-    #[cfg(feature = "fault")]
     if mlpart::fault::should_unbalance("start", attempt.start as u64) {
         // Deterministic imbalance injection: overfill part 0 with free
         // modules (id order) so the repair gate has real work to do.
@@ -641,7 +640,6 @@ fn main() -> ExitCode {
     };
     // Fault plans come from the environment, not argv, but a malformed one
     // is the same class of mistake: reject it eagerly, before any work.
-    #[cfg(feature = "fault")]
     if let Err(e) = mlpart::fault::validate_env() {
         eprintln!("invalid MLPART_FAULTS: {e}");
         return ExitCode::from(EXIT_INVALID_INPUT);

@@ -17,8 +17,8 @@
 //! * [`place`] — the GORDIAN-analogue quadratic placer;
 //! * [`obs`] — deterministic structured tracing, metrics, and run-report
 //!   exporters behind `MLPART_TRACE=1` (or the CLI's tracing flags);
-//! * `fault` (feature-gated) — deterministic fault injection (panics and
-//!   budget exhaustion at named sites) behind `MLPART_FAULTS`.
+//! * [`fault`] — deterministic fault injection (panics and budget
+//!   exhaustion at named sites) behind `MLPART_FAULTS`.
 //!
 //! The most common entry points are re-exported at the top level.
 //!
@@ -47,9 +47,6 @@ pub mod checkpoint;
 pub use mlpart_cluster as cluster;
 pub use mlpart_core as core;
 pub use mlpart_exec as exec;
-/// Deterministic fault injection: named panic/exhaustion sites behind
-/// `MLPART_FAULTS`. Present only with the `fault` feature.
-#[cfg(feature = "fault")]
 pub use mlpart_fault as fault;
 pub use mlpart_fm as fm;
 pub use mlpart_gen as gen;

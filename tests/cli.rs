@@ -14,6 +14,19 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     p
 }
 
+/// Stdout with the wall/CPU parenthetical that ends each summary line
+/// dropped: the only stdout content allowed to differ between runs.
+fn without_timing(stdout: &[u8]) -> String {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .map(|l| match l.rfind(" (") {
+            Some(i) if l[i..].contains(" wall, ") => &l[..i],
+            _ => l,
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 #[test]
 fn partitions_a_synthetic_circuit() {
     let out = mlpart()
@@ -312,10 +325,9 @@ fn budget_with_lsmc_exits_two() {
     assert_eq!(out.status.code(), Some(2));
 }
 
-/// End-to-end panic isolation (needs `--features fault`): an injected
+/// End-to-end panic isolation (under an `MLPART_FAULTS` plan): an injected
 /// per-start panic is reported on stderr, the start is excluded, and the
 /// surviving starts still produce a successful result.
-#[cfg(feature = "fault")]
 #[test]
 fn injected_start_panic_is_isolated_end_to_end() {
     let out = mlpart()
@@ -338,9 +350,8 @@ fn injected_start_panic_is_isolated_end_to_end() {
     assert!(stdout.contains("ml-c x2 runs: min"), "stdout: {stdout}");
 }
 
-/// End-to-end all-starts-failed (needs `--features fault`): when every
+/// End-to-end all-starts-failed (under an `MLPART_FAULTS` plan): when every
 /// start panics there is no result and the exit code is 1, not a crash.
-#[cfg(feature = "fault")]
 #[test]
 fn all_starts_failed_exits_one() {
     let out = mlpart()
@@ -396,6 +407,53 @@ fn constrained_k8_run_honors_fix_file() {
     }
     let _ = std::fs::remove_file(&fix);
     let _ = std::fs::remove_file(&part);
+}
+
+/// Audits only read: the default binary under `MLPART_AUDIT=1` exits 0 and
+/// prints and writes exactly what the unaudited run does, on the
+/// bipartition, k-way and constrained k = 8 pipelines.
+#[test]
+fn audited_runs_match_unaudited_runs() {
+    let fix = temp_path("audit8.fix");
+    let mut fix_lines = vec!["-1".to_owned(); 801];
+    fix_lines[0] = "7".to_owned();
+    fix_lines[3] = "0".to_owned();
+    fix_lines[10] = "5".to_owned();
+    std::fs::write(&fix, fix_lines.join("\n") + "\n").expect("write fix file");
+    let fix_arg = fix.to_str().expect("utf8 path");
+    let cases: [(&str, &[&str]); 3] = [
+        ("k2", &[]),
+        ("k4", &["--k", "4"]),
+        (
+            "k8-fixed",
+            &["--k", "8", "--epsilon", "0.05", "--fixed", fix_arg],
+        ),
+    ];
+    for (tag, extra) in cases {
+        let run = |audit: bool| {
+            let part = temp_path(&format!("audit-{tag}-{audit}.part"));
+            let mut cmd = mlpart();
+            cmd.args(["syn-balu", "--algo", "ml-c", "--runs", "2", "--seed", "9"])
+                .args(extra)
+                .args(["--output", part.to_str().expect("utf8 path")]);
+            if audit {
+                cmd.env("MLPART_AUDIT", "1");
+            } else {
+                cmd.env_remove("MLPART_AUDIT");
+            }
+            let out = cmd.output().expect("binary runs");
+            assert!(
+                out.status.success(),
+                "{tag} (audit = {audit}): {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let partition = std::fs::read_to_string(&part).expect("partition written");
+            let _ = std::fs::remove_file(&part);
+            (without_timing(&out.stdout), partition)
+        };
+        assert_eq!(run(false), run(true), "{tag}: audits changed the run");
+    }
+    let _ = std::fs::remove_file(&fix);
 }
 
 /// Constrained runs are thread-count invariant end to end, pins included.

@@ -1,6 +1,6 @@
 //! End-to-end crash-safety: the `mlpart` binary survives `SIGKILL`
 //! mid-batch and resumes to byte-identical outputs, rejects checkpoints
-//! from other invocations, and (with the `fault` feature) turns injected
+//! from other invocations, and (under `MLPART_FAULTS` plans) turns injected
 //! panics into retries and injected imbalance into repairs.
 
 use std::path::PathBuf;
@@ -257,7 +257,6 @@ fn unwritable_checkpoint_path_exits_one() {
 
 /// A malformed `MLPART_FAULTS` spec is invalid input: exit 2 and an error
 /// naming the offending token, before any partitioning work.
-#[cfg(feature = "fault")]
 #[test]
 fn malformed_fault_spec_exits_two() {
     let out = bin()
@@ -273,7 +272,6 @@ fn malformed_fault_spec_exits_two() {
 
 /// An injected attempt panic is absorbed by `--retries` and the batch
 /// still reports every start — bit-identically at every thread count.
-#[cfg(feature = "fault")]
 #[test]
 fn injected_panics_are_retried_deterministically() {
     // Index 8 = start 1, attempt 0 (ATTEMPT_STRIDE = 8).
@@ -324,7 +322,6 @@ fn injected_panics_are_retried_deterministically() {
 
 /// Injected imbalance is driven back inside the balance window by the
 /// deterministic repair pass; the run succeeds and says so.
-#[cfg(feature = "fault")]
 #[test]
 fn injected_imbalance_is_repaired() {
     let s = Scratch::new("repair");
@@ -344,7 +341,6 @@ fn injected_imbalance_is_repaired() {
 }
 
 /// Repairs land in the run report's `repairs` array.
-#[cfg(feature = "fault")]
 #[test]
 fn repairs_are_reported() {
     let s = Scratch::new("repair-report");
